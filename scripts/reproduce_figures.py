@@ -14,9 +14,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from jcas.channel import synthesize_diag
-from jcas.cli import main as jcas_main
+from jcas.cli import main as jcas_main, write_image_csv
 from jcas.config import OfdmConfig, Target
-from jcas.diag_estimator import WindowKind, apply_window, diag_spectrum
+from jcas.diag_estimator import WindowKind, process_frame
 
 OUT = Path(__file__).resolve().parents[1] / "out"
 
@@ -26,11 +26,8 @@ def single_target_profile() -> None:
     d = synthesize_diag(cfg, [Target(40.0, 5.0, 3.16)], np.array([1.0]))
     out = OUT / "single_target"
     out.mkdir(parents=True, exist_ok=True)
-    for kind in WindowKind:
-        img = diag_spectrum(apply_window(d, kind))
-        rows = [f"{b},{img.magnitude_db[b]:.6g}" for b in range(cfg.n_diag // 2 + 1)]
-        (out / f"profile_{kind.value}.csv").write_text(
-            "\n".join(["bin,magnitude_db", *rows]) + "\n")
+    for kind, img in process_frame(d, tuple(WindowKind)).images.items():
+        write_image_csv(out / f"profile_{kind.value}.csv", img)
     print(f"wrote {out}/profile_*.csv")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +25,13 @@ from .allocation import AllocationKind, build_allocation, overhead
 from .channel import (DiagonalModel, LinkBudget, NoiseSpec, synthesize_diag,
                       synthesize_grid, target_amplitudes)
 from .config import OfdmConfig, capabilities
-from .diag_estimator import (DEFAULT_MIN_SEPARATION, DEFAULT_THRESHOLD_DB,
-                             WindowKind, apply_window, candidates, detect_peaks_1d,
-                             diag_spectrum, pair_peaks)
+from .diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, candidates,
+                             process_frame)
 from .grid_estimator import detect_peaks_2d, range_doppler_map
 from .scenario import Scene, builtin_scene, load_scene, targets_at
 from .tracking import Hypothesis, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
-GRID_GUARD = 2
 
 
 def fmt(x) -> str:
@@ -42,19 +39,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".6g")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scene: Scene
-    cfg: OfdmConfig
-    window: str               # rect | hamming | adaptive
-    model: DiagonalModel
-    estimator: str            # diag | grid2d | both
-    noise: NoiseSpec | None
-    out_dir: Path
-    budget: LinkBudget
-    seed: int
 
 
 def _load_scene_arg(arg: str) -> tuple[Scene, OfdmConfig]:
@@ -71,103 +55,33 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
-def _windows_for_frame(mode: str, frame_index: int) -> list[WindowKind]:
-    if mode == "rect":
-        return [WindowKind.RECTANGULAR]
-    if mode == "hamming":
-        return [WindowKind.HAMMING]
-    if mode == "adaptive":
-        return [WindowKind.RECTANGULAR, WindowKind.HAMMING]
-    raise ValueError(f"unknown window mode {mode!r}")
+def write_image_csv(path: Path, img: RadarImage) -> None:
+    """Write a radar image's half spectrum, bins 0..N/2, as bin,magnitude_db."""
+    db = img.magnitude_db
+    _write_csv(path, "bin,magnitude_db",
+               [f"{b},{fmt(db[b])}" for b in range(len(db) // 2 + 1)])
 
 
-def _merge_peaks(peak_sets, min_separation: int, n: int):
-    """Union of per-window detections, thinned strongest-first."""
-    merged = []
-    for peaks in peak_sets:
-        merged.extend(peaks)
-    kept = []
-    for p in sorted(merged, key=lambda p: -p.magnitude_db):
-        dist = min((min(abs(p.bin - q.bin), n - abs(p.bin - q.bin)) for q in kept),
-                   default=n)
-        if dist >= min_separation:
-            kept.append(p)
-    return kept
-
-
-def _simulate_diag(run: RunConfig) -> None:
-    cfg = run.cfg
-    tracks: list[Hypothesis] = []
-    det_rows: list[str] = []
-    half = cfg.n_diag // 2
-    for fidx, t in enumerate(run.scene.measurement_times_s):
-        targets = targets_at(run.scene, t)
-        if not targets:
-            continue
-        amps = target_amplitudes(cfg, run.budget, targets, run.seed, fidx)
-        d = synthesize_diag(cfg, targets, amps, noise=run.noise, model=run.model)
-        windows = _windows_for_frame(run.window, fidx)
-        peak_sets = []
-        for kind in windows:
-            img = diag_spectrum(apply_window(d, kind))
-            suffix = f"_{kind.value}" if len(windows) > 1 else ""
-            _write_csv(run.out_dir / f"image_{fmt(t)}{suffix}.csv",
-                       "bin,magnitude_db",
-                       [f"{b},{fmt(img.magnitude_db[b])}" for b in range(half + 1)])
-            peak_sets.append(detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind]))
-        peaks = _merge_peaks(peak_sets, DEFAULT_MIN_SEPARATION, cfg.n_diag)
-        pairs, _orphans = pair_peaks(peaks)
-        tracks = resolve_ambiguity(cfg, tracks, (t, pairs), run.scene.frame_interval_s)
-        by_pair = {id(tr.history[-1][1]): tr for tr in tracks
-                   if tr.history and tr.history[-1][0] == t}
-        for pair in pairs:
-            cand = candidates(cfg, pair)
-            track = by_pair.get(id(pair))
-            track_id = track.track_id if track else -1
-            resolved = track.chosen if track else "undecided"
-            best = track.best_solution() if track else cand.sol_a
-            det_rows.append(",".join([
-                fmt(t), str(pair.l1), str(pair.l2), fmt(pair.mean_bin),
-                str(pair.delta_bin),
-                fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
-                fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps),
-                fmt(pair.magnitude_db), str(track_id), resolved,
-                fmt(best.range_m), fmt(best.velocity_mps),
-            ]))
-    _write_csv(run.out_dir / "detections.csv",
-               "time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
-               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",
-               det_rows)
-    track_rows = []
-    for tr in sorted(tracks, key=lambda tr: tr.track_id):
-        best = tr.best_solution()
-        track_rows.append(",".join([
-            str(tr.track_id), str(len(tr.history)), fmt(tr.score_a), fmt(tr.score_b),
-            tr.chosen, fmt(best.range_m), fmt(best.velocity_mps)]))
-    _write_csv(run.out_dir / "tracks.csv",
-               "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)
-
-
-def _simulate_grid(run: RunConfig) -> None:
-    cfg = run.cfg
-    det_rows: list[str] = []
-    for fidx, t in enumerate(run.scene.measurement_times_s):
-        targets = targets_at(run.scene, t)
-        if not targets:
-            continue
-        amps = target_amplitudes(cfg, run.budget, targets, run.seed, fidx)
-        c = synthesize_grid(cfg, targets, amps, noise=run.noise)
-        rd = range_doppler_map(c)
-        rows = [f"{p},{q},{fmt(rd.magnitude_db[p, q])}"
-                for p in range(cfg.n_sensing_freq)
-                for q in range(cfg.n_sensing_time)]
-        _write_csv(run.out_dir / f"rdmap_{fmt(t)}.csv", "p,q,magnitude_db", rows)
-        for det in detect_peaks_2d(rd, GRID_THRESHOLD_DB, GRID_GUARD, cfg=cfg):
-            det_rows.append(",".join([
-                fmt(t), str(det.range_bin), str(det.doppler_bin),
-                fmt(det.magnitude_db), fmt(det.range_m), fmt(det.velocity_mps)]))
-    _write_csv(run.out_dir / "grid_detections.csv",
-               "time_s,p,q,magnitude_db,range_m,velocity_mps", det_rows)
+def _detection_rows(cfg: OfdmConfig, t: float, pairs: list[PeakPair],
+                    tracks: list[Hypothesis]) -> list[str]:
+    by_pair = {id(tr.history[-1][1]): tr for tr in tracks
+               if tr.history and tr.history[-1][0] == t}
+    rows = []
+    for pair in pairs:
+        cand = candidates(cfg, pair)
+        track = by_pair.get(id(pair))
+        track_id = track.track_id if track else -1
+        resolved = track.chosen if track else "undecided"
+        best = track.best_solution() if track else cand.sol_a
+        rows.append(",".join([
+            fmt(t), str(pair.l1), str(pair.l2), fmt(pair.mean_bin),
+            str(pair.delta_bin),
+            fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
+            fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps),
+            fmt(pair.magnitude_db), str(track_id), resolved,
+            fmt(best.range_m), fmt(best.velocity_mps),
+        ]))
+    return rows
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -175,13 +89,53 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
-    run = RunConfig(scene=scene, cfg=cfg, window=args.window,
-                    model=DiagonalModel(args.model), estimator=args.estimator,
-                    noise=noise, out_dir=out_dir, budget=LinkBudget(), seed=args.seed)
-    if run.estimator in ("diag", "both"):
-        _simulate_diag(run)
-    if run.estimator in ("grid2d", "both"):
-        _simulate_grid(run)
+    model = DiagonalModel(args.model)
+    windows = WINDOW_MODES[args.window]
+    run_diag = args.estimator in ("diag", "both")
+    run_grid = args.estimator in ("grid2d", "both")
+    tracks: list[Hypothesis] = []
+    det_rows: list[str] = []
+    grid_rows: list[str] = []
+    for fidx, t in enumerate(scene.measurement_times_s):
+        targets = targets_at(scene, t)
+        if not targets:
+            continue
+        amps = target_amplitudes(cfg, LinkBudget(), targets, args.seed, fidx)
+        if run_diag:
+            frame = process_frame(
+                synthesize_diag(cfg, targets, amps, noise=noise, model=model), windows)
+            for kind, img in frame.images.items():
+                suffix = f"_{kind.value}" if len(windows) > 1 else ""
+                write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
+            tracks = resolve_ambiguity(cfg, tracks, (t, frame.pairs),
+                                       scene.frame_interval_s)
+            det_rows += _detection_rows(cfg, t, frame.pairs, tracks)
+        if run_grid:
+            rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
+            _write_csv(out_dir / f"rdmap_{fmt(t)}.csv", "p,q,magnitude_db",
+                       [f"{p},{q},{fmt(rd.magnitude_db[p, q])}"
+                        for p in range(cfg.n_sensing_freq)
+                        for q in range(cfg.n_sensing_time)])
+            grid_rows += [",".join([
+                fmt(t), str(det.range_bin), str(det.doppler_bin),
+                fmt(det.magnitude_db), fmt(det.range_m), fmt(det.velocity_mps)])
+                for det in detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)]
+    if run_diag:
+        _write_csv(out_dir / "detections.csv",
+                   "time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
+                   "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",
+                   det_rows)
+        track_rows = []
+        for tr in sorted(tracks, key=lambda tr: tr.track_id):
+            best = tr.best_solution()
+            track_rows.append(",".join([
+                str(tr.track_id), str(len(tr.history)), fmt(tr.score_a), fmt(tr.score_b),
+                tr.chosen, fmt(best.range_m), fmt(best.velocity_mps)]))
+        _write_csv(out_dir / "tracks.csv",
+                   "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)
+    if run_grid:
+        _write_csv(out_dir / "grid_detections.csv",
+                   "time_s,p,q,magnitude_db,range_m,velocity_mps", grid_rows)
     return 0
 
 
@@ -229,6 +183,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             line += f", time ratio {fmt(report.ratio_time[n])}"
         print(line)
     if args.csv is not None:
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         _write_csv(Path(args.csv), "algorithm,n,counted_multiplies,wall_time_ns",
                    [f"{r.algorithm},{r.n},{r.counted_multiplies},{r.wall_time_ns}"
                     for r in report.rows])
@@ -243,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scene through the estimators")
     sim.add_argument("--scene", required=True,
                      help="builtin scene name (fig4, fig5) or scene file path")
-    sim.add_argument("--window", choices=["rect", "hamming", "adaptive"],
+    sim.add_argument("--window", choices=list(WINDOW_MODES),
                      default="rect")
     sim.add_argument("--model", choices=[m.value for m in DiagonalModel],
                      default=DiagonalModel.DUAL_TONE.value)

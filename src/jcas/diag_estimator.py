@@ -34,6 +34,13 @@ DEFAULT_THRESHOLD_DB = {
     WindowKind.HAMMING: -36.0,
 }
 DEFAULT_MIN_SEPARATION = 3
+# Windows each `simulate --window` mode processes a frame with; adaptive
+# detects on both images and merges the peaks.
+WINDOW_MODES = {
+    "rect": (WindowKind.RECTANGULAR,),
+    "hamming": (WindowKind.HAMMING,),
+    "adaptive": (WindowKind.RECTANGULAR, WindowKind.HAMMING),
+}
 # Rectangular mainlobe spans +-1 bin, Hamming +-2; halfwidths add one bin of
 # straddle margin when measuring sidelobe levels.
 MAINLOBE_HALFWIDTH = {
@@ -78,6 +85,17 @@ class PeakPair:
     @property
     def delta_bin(self) -> int:
         return self.l2 - self.l1
+
+
+@dataclass(frozen=True)
+class DiagFrame:
+    """One frame through process_frame: an image per window, the merged
+    peaks (strongest first), and their pairing."""
+
+    images: dict[WindowKind, RadarImage]
+    peaks: list[Peak]
+    pairs: list[PeakPair]
+    orphans: list[Peak]
 
 
 @dataclass(frozen=True)
@@ -137,25 +155,52 @@ def _local_maxima(db: np.ndarray, threshold_db: float) -> list[int]:
             and db[i] > db[(i - 1) % n] and db[i] > db[(i + 1) % n]]
 
 
+def thin_peaks(peaks: list[Peak], n: int,
+               min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
+    """Greedy strongest-first thinning over n circular bins.
+
+    A peak closer than min_separation bins to an already kept, stronger
+    peak is dropped; equal magnitudes keep their input order. Result is
+    sorted by magnitude descending.
+    """
+    if min_separation < 1:
+        raise ValueError("min_separation must be >= 1")
+    kept: list[Peak] = []
+    for p in sorted(peaks, key=lambda p: -p.magnitude_db):
+        if all(_circular_distance(p.bin, q.bin, n) >= min_separation for q in kept):
+            kept.append(p)
+    return kept
+
+
 def detect_peaks_1d(img: RadarImage, threshold_db: float,
                     min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
     """Local maxima above threshold, thinned to the given separation.
 
-    Bins are circular. Thinning is greedy strongest-first: a weaker local
-    maximum closer than min_separation bins to an already kept peak is
-    dropped. Result is sorted by magnitude descending.
+    Bins are circular. Thinning is greedy strongest-first (thin_peaks): a
+    weaker local maximum closer than min_separation bins to an already kept
+    peak is dropped. Result is sorted by magnitude descending.
     """
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
-    if min_separation < 1:
-        raise ValueError("min_separation must be >= 1")
     db = img.magnitude_db
-    n = len(db)
-    kept: list[int] = []
-    for i in sorted(_local_maxima(db, threshold_db), key=lambda i: -db[i]):
-        if all(_circular_distance(i, j, n) >= min_separation for j in kept):
-            kept.append(i)
-    return [Peak(bin=i, magnitude_db=float(db[i])) for i in kept]
+    return thin_peaks([Peak(bin=i, magnitude_db=float(db[i]))
+                       for i in _local_maxima(db, threshold_db)],
+                      len(db), min_separation)
+
+
+def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> DiagFrame:
+    """Window, transform and detect one frame with each window, then pair.
+
+    Each window's image is thresholded at its DEFAULT_THRESHOLD_DB floor.
+    The union of the detections is thinned strongest-first (an earlier
+    window wins a tie) and paired with pair_peaks.
+    """
+    images = {kind: diag_spectrum(apply_window(d, kind)) for kind in windows}
+    peaks = thin_peaks([p for kind, img in images.items()
+                        for p in detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind])],
+                       len(d.values))
+    pairs, orphans = pair_peaks(peaks)
+    return DiagFrame(images=images, peaks=peaks, pairs=pairs, orphans=orphans)
 
 
 def psl(img: RadarImage, mainlobe_halfwidth: int = 4,

@@ -53,9 +53,9 @@ class Scene:
     def __post_init__(self) -> None:
         if self.frame_interval_s <= 0:
             raise ValueError("frame_interval_s must be positive")
-        if any(b < a for a, b in zip(self.measurement_times_s,
-                                     self.measurement_times_s[1:])):
-            raise ValueError("measurement_times_s must be non-decreasing")
+        if any(b <= a for a, b in zip(self.measurement_times_s,
+                                      self.measurement_times_s[1:])):
+            raise ValueError("measurement_times_s must be strictly increasing")
 
 
 def targets_at(scene: Scene, t: float) -> list[Target]:

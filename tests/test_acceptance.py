@@ -17,10 +17,11 @@ from jcas.bench import count_ops
 from jcas.channel import (DiagonalVector, LinkBudget, dual_peak_bins, rx_power,
                           synthesize_diag, synthesize_grid, target_amplitudes)
 from jcas.config import OfdmConfig, Target, capabilities
-from jcas.diag_estimator import (MAINLOBE_HALFWIDTH, Peak, RadarImage,
-                                 WindowKind, apply_window, candidates,
-                                 detect_peaks_1d, diag_spectrum, pair_peaks,
-                                 psl, window_coefficients)
+from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
+                                 RadarImage, WindowKind, apply_window,
+                                 candidates, detect_peaks_1d, diag_spectrum,
+                                 pair_peaks, process_frame, psl,
+                                 window_coefficients)
 from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
@@ -31,7 +32,6 @@ from oracles import brute_2d, brute_dft, power_ratio_db
 CFG = OfdmConfig.table1()
 BUDGET = LinkBudget()
 SCENE_SEED = 1  # reflection-phase seed for every scene-driven criterion
-THRESHOLD_DB = {WindowKind.RECTANGULAR: -30.0, WindowKind.HAMMING: -36.0}
 OVERSAMPLE = 8  # criterion 7's image samples per native bin
 
 RANGE_QUANTUM = 0.37202380952380953   # m per bin
@@ -52,11 +52,8 @@ def _scene_frame(scene_name, t, frame_index, window):
     scene = builtin_scene(scene_name)
     targets = targets_at(scene, t)
     amps = target_amplitudes(CFG, BUDGET, targets, SCENE_SEED, frame_index)
-    d = synthesize_diag(CFG, targets, amps)
-    img = diag_spectrum(apply_window(d, window))
-    peaks = detect_peaks_1d(img, threshold_db=THRESHOLD_DB[window])
-    pairs, orphans = pair_peaks(peaks)
-    return img, peaks, pairs, orphans
+    frame = process_frame(synthesize_diag(CFG, targets, amps), (window,))
+    return frame.images[window], frame.peaks, frame.pairs, frame.orphans
 
 
 def _pair_near(pairs, l1, l2, tol=1):
@@ -209,8 +206,8 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
                                   - native.magnitude_db - native.reference_level))
             assert guard <= 1e-9, f"{window.value}: fine image off by {guard} dB"
             peaks = [Peak(bin=p.bin / OVERSAMPLE, magnitude_db=p.magnitude_db)
-                     for p in detect_peaks_1d(RadarImage(db, ref),
-                                              threshold_db=THRESHOLD_DB[window])]
+                     for p in detect_peaks_1d(
+                         RadarImage(db, ref), threshold_db=DEFAULT_THRESHOLD_DB[window])]
             strong_bins = sorted(p.bin for p in peaks
                                  if min(abs(p.bin - b) for b in (76, 82, 133, 134)) <= 1)
             offsets = np.array([_circular_offset(bins, b, n) for b in tones])

@@ -119,6 +119,23 @@ def test_simulate_noise_flag_changes_image(tmp_path):
             != (noisy / "image_0.csv").read_bytes())
 
 
+def test_simulate_refuses_repeated_times_before_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    scene = tmp_path / "repeat.cfg"
+    scene.write_text("""
+[scene]
+measurement_times_s = [0.0, 0.0]
+[[vehicle]]
+name = "car"
+initial_range_m = 40.0
+relative_speed_mps = 5.0
+rcs_m2 = 3.16
+""")
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scene(tmp_path, capsys):
     rc = main(["simulate", "--scene", "fig9", "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -194,6 +211,13 @@ def test_bench_csv_output(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "algorithm,n,counted_multiplies,wall_time_ns"
     assert any(line.startswith("grid2d,32,65536,") for line in lines)
+
+
+def test_bench_csv_creates_missing_directory(tmp_path):
+    csv_path = tmp_path / "out" / "bench.csv"
+    assert main(["bench", "--n", "16", "--counted-only", "--repeats", "3",
+                 "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text().startswith("algorithm,n,counted_multiplies,")
 
 
 def test_bench_rejects_single_repeat(capsys):

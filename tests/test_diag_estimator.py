@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import DiagonalVector, dual_peak_bins, synthesize_diag
 from jcas.config import Target
-from jcas.diag_estimator import (MAINLOBE_HALFWIDTH, Peak, PeakPair, WindowKind,
-                                 apply_window, candidates, detect_peaks_1d,
-                                 diag_spectrum, pair_peaks, psl,
-                                 window_coefficients)
+from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
+                                 PeakPair, WindowKind, apply_window, candidates,
+                                 detect_peaks_1d, diag_spectrum, pair_peaks,
+                                 psl, thin_peaks, window_coefficients)
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
 
@@ -137,6 +137,19 @@ class TestDetect:
         peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0,
                                 min_separation=3)
         assert [p.bin for p in peaks] == [10, 30]
+
+    def test_thinning_ties_keep_input_order_across_wrap(self):
+        # bins 63 and 1 are 2 apart on a 64-bin circle; the tie keeps 63,
+        # which comes first
+        peaks = [Peak(bin=63, magnitude_db=-5.0), Peak(bin=1, magnitude_db=-5.0),
+                 Peak(bin=10, magnitude_db=-1.0)]
+        assert thin_peaks(peaks, 64) == [peaks[2], peaks[0]]
+
+    def test_default_floors_are_the_documented_ones(self):
+        # the goldens catch a raised floor (a detection disappears) but not
+        # a lowered one on these noiseless scenes
+        assert DEFAULT_THRESHOLD_DB == {WindowKind.RECTANGULAR: -30.0,
+                                        WindowKind.HAMMING: -36.0}
 
     def test_sorted_by_magnitude(self, table1):
         img = _image_of(table1, [Target(20.0, 3.0, 1.0), Target(70.0, 30.0, 1.0)],
