@@ -147,8 +147,14 @@ def dual_peak_bins(cfg: OfdmConfig, target: Target) -> tuple[float, float]:
     The diagonal comb superposes the range and Doppler ramps, so one target
     maps to the tone pair at |l_range - l_doppler| and l_range + l_doppler.
     """
-    l_r = range_bin(cfg, target.range_m)
-    l_d = doppler_bin(cfg, target.radial_velocity_mps)
+    return tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
+
+
+def tone_pair_bins(cfg: OfdmConfig, range_m: float,
+                   velocity_mps: float) -> tuple[float, float]:
+    """dual_peak_bins for a bare range and velocity, without a Target."""
+    l_r = range_bin(cfg, range_m)
+    l_d = doppler_bin(cfg, velocity_mps)
     return abs(l_r - l_d), l_r + l_d
 
 

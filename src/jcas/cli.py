@@ -27,15 +27,20 @@ from .channel import (DiagonalModel, LinkBudget, NoiseSpec, synthesize_diag,
 from .config import OfdmConfig, capabilities
 from .diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, candidates,
                              process_frame)
-from .grid_estimator import detect_peaks_2d, range_doppler_map
-from .scenario import Scene, builtin_scene, load_scene, targets_at
+from .grid_estimator import RangeDopplerMap, detect_peaks_2d, range_doppler_map
+from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
+                       targets_at)
 from .tracking import Hypothesis, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
 
 
 def fmt(x) -> str:
-    """Fixed 6-significant-digit rendering shared by every numeric output."""
+    """Fixed 6-significant-digit rendering shared by every numeric output.
+
+    "%d" and "%.6g" render ints and floats to the same text; the image and
+    rdmap writers use them to format many cells with one % operation.
+    """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".6g")
@@ -57,9 +62,28 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 def write_image_csv(path: Path, img: RadarImage) -> None:
     """Write a radar image's half spectrum, bins 0..N/2, as bin,magnitude_db."""
-    db = img.magnitude_db
-    _write_csv(path, "bin,magnitude_db",
-               [f"{b},{fmt(db[b])}" for b in range(len(db) // 2 + 1)])
+    n = len(img.magnitude_db) // 2 + 1
+    args: list = [0] * (2 * n)
+    args[0::2] = range(n)
+    args[1::2] = img.magnitude_db[:n].tolist()
+    path.write_text("bin,magnitude_db\n" + ("%d,%.6g\n" * n) % tuple(args))
+
+
+def write_rdmap_csv(path: Path, rd: RangeDopplerMap) -> None:
+    """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
+
+    Rows go out one map row (fixed p, every q) at a time, so no more than
+    one row of cells is ever held as text.
+    """
+    n_t = rd.magnitude_db.shape[1]
+    template = "".join(f"%d,{q},%.6g\n" for q in range(n_t))
+    args: list = [0] * (2 * n_t)
+    with open(path, "w") as f:
+        f.write("p,q,magnitude_db\n")
+        for p, row in enumerate(rd.magnitude_db):
+            args[0::2] = [p] * n_t
+            args[1::2] = row.tolist()
+            f.write(template % tuple(args))
 
 
 def _detection_rows(cfg: OfdmConfig, t: float, pairs: list[PeakPair],
@@ -86,6 +110,7 @@ def _detection_rows(cfg: OfdmConfig, t: float, pairs: list[PeakPair],
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
+    check_unambiguous_range(scene, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
@@ -112,10 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             det_rows += _detection_rows(cfg, t, frame.pairs, tracks)
         if run_grid:
             rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
-            _write_csv(out_dir / f"rdmap_{fmt(t)}.csv", "p,q,magnitude_db",
-                       [f"{p},{q},{fmt(rd.magnitude_db[p, q])}"
-                        for p in range(cfg.n_sensing_freq)
-                        for q in range(cfg.n_sensing_time)])
+            write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
             grid_rows += [",".join([
                 fmt(t), str(det.range_bin), str(det.doppler_bin),
                 fmt(det.magnitude_db), fmt(det.range_m), fmt(det.velocity_mps)])

@@ -59,7 +59,13 @@ class RadarImage:
 
 @dataclass(frozen=True)
 class Peak:
-    bin: int
+    """A detected spectral peak.
+
+    bin is in native DFT-bin units. detect_peaks_1d gives integer-valued
+    bins; a peak read off a zero-padded image may sit between them.
+    """
+
+    bin: float
     magnitude_db: float
 
 
@@ -68,10 +74,12 @@ class PeakPair:
     """Two peaks attributed to one target, lower bin first.
 
     l1 == l2 is the degenerate coincident-tone case (zero-velocity target).
+    Bins are those of the member peaks: integer-valued on the CLI path,
+    fractional when the peaks are.
     """
 
-    l1: int
-    l2: int
+    l1: float
+    l2: float
     magnitude_db: float  # mean of the members
 
     def __post_init__(self) -> None:
@@ -83,7 +91,7 @@ class PeakPair:
         return 0.5 * (self.l1 + self.l2)
 
     @property
-    def delta_bin(self) -> int:
+    def delta_bin(self) -> float:
         return self.l2 - self.l1
 
 
@@ -240,27 +248,26 @@ def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0
     magnitude difference, as long as that difference stays within tolerance.
     Returns (pairs, orphans); an odd or unmatchable peak is reported as an
     orphan, never an error.
+
+    Peaks are kept sorted strongest first, so the closest-magnitude pair is
+    always two neighbours in that order (float subtraction is monotone); a
+    tie goes to the strongest such pair.
     """
     if amp_tolerance_db <= 0:
         raise ValueError("amp_tolerance_db must be positive")
     unpaired = sorted(peaks, key=lambda p: -p.magnitude_db)
     pairs: list[PeakPair] = []
     while len(unpaired) >= 2:
-        best: tuple[float, int, int] | None = None
-        for i in range(len(unpaired)):
-            for j in range(i + 1, len(unpaired)):
-                diff = abs(unpaired[i].magnitude_db - unpaired[j].magnitude_db)
-                if best is None or diff < best[0]:
-                    best = (diff, i, j)
-        diff, i, j = best
-        if diff > amp_tolerance_db:
+        diffs = [a.magnitude_db - b.magnitude_db
+                 for a, b in zip(unpaired, unpaired[1:])]
+        i = min(range(len(diffs)), key=diffs.__getitem__)
+        if diffs[i] > amp_tolerance_db:
             break
-        a, b = unpaired[i], unpaired[j]
+        a, b = unpaired[i], unpaired[i + 1]
         lo, hi = sorted((a.bin, b.bin))
         pairs.append(PeakPair(l1=lo, l2=hi,
                               magnitude_db=0.5 * (a.magnitude_db + b.magnitude_db)))
-        for k in sorted((i, j), reverse=True):
-            unpaired.pop(k)
+        del unpaired[i:i + 2]
     return pairs, unpaired
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import OfdmConfig, Target
+from .config import OfdmConfig, Target, capabilities
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,9 @@ class VehicleSpec:
             raise ValueError(f"vehicle {self.name}: initial range must be > 0")
         if self.rcs_m2 <= 0:
             raise ValueError(f"vehicle {self.name}: RCS must be > 0")
+
+    def range_at(self, t: float) -> float:
+        return self.initial_range_m + self.relative_speed_mps * t
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,28 @@ def targets_at(scene: Scene, t: float) -> list[Target]:
         raise ValueError("time must be >= 0")
     out = []
     for v in scene.vehicles:
-        r = v.initial_range_m + v.relative_speed_mps * t
+        r = v.range_at(t)
         if r > 0:
             out.append(Target(range_m=r, radial_velocity_mps=v.relative_speed_mps,
                               rcs_m2=v.rcs_m2))
     return out
+
+
+def check_unambiguous_range(scene: Scene, cfg: OfdmConfig) -> None:
+    """Refuse a scene with a vehicle at or beyond the unambiguous range.
+
+    Such a vehicle's range bin wraps around, so it would be reported at
+    range modulo capabilities(cfg).max_unambiguous_range without a sign of
+    the aliasing. Every measurement time is checked.
+    """
+    max_range = capabilities(cfg).max_unambiguous_range
+    for t in scene.measurement_times_s:
+        for v in scene.vehicles:
+            r = v.range_at(t)
+            if r >= max_range:
+                raise ValueError(
+                    f"vehicle {v.name} at t={t:g} s is at {r:g} m, "
+                    f"at or beyond the {max_range:g} m unambiguous range")
 
 
 _BUILTIN = {

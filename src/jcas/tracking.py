@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import dual_peak_bins
-from .config import OfdmConfig, Target
+import numpy as np
+
+from .channel import tone_pair_bins
+from .config import OfdmConfig
 from .diag_estimator import CandidatePair, PeakPair, Solution, candidates
 
 # A branch whose prediction lands farther than this from every observed pair
@@ -51,14 +53,7 @@ class Hypothesis:
 
 
 def _predicted_pair(cfg: OfdmConfig, sol: Solution, dt: float) -> tuple[float, float]:
-    moved = Target(range_m=sol.range_m + sol.velocity_mps * dt,
-                   radial_velocity_mps=sol.velocity_mps,
-                   rcs_m2=1.0)
-    return dual_peak_bins(cfg, moved)
-
-
-def _pair_distance(pred: tuple[float, float], pair: PeakPair) -> float:
-    return abs(pred[0] - pair.l1) + abs(pred[1] - pair.l2)
+    return tone_pair_bins(cfg, sol.range_m + sol.velocity_mps * dt, sol.velocity_mps)
 
 
 def _start_track(track_id: int, t: float, pair: PeakPair, cfg: OfdmConfig) -> Hypothesis:
@@ -90,6 +85,8 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
             raise ValueError("frame times must be strictly increasing")
 
     claimed: set[int] = set()
+    l1 = np.array([p.l1 for p in pairs], dtype=float)
+    l2 = np.array([p.l2 for p in pairs], dtype=float)
     for track in tracks:
         if not pairs:
             break
@@ -100,13 +97,15 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
             if math.isinf(score):
                 continue
             pred = _predicted_pair(cfg, track.solution(branch), dt)
-            dists = [_pair_distance(pred, p) for p in pairs]
-            idx = int(min(range(len(dists)), key=dists.__getitem__))
-            assoc[branch] = (dists[idx], idx)
+            # L1 bin distance to every pair; argmin keeps the first nearest.
+            dists = np.abs(pred[0] - l1) + np.abs(pred[1] - l2)
+            idx = int(dists.argmin())
+            dist = float(dists[idx])
+            assoc[branch] = (dist, idx)
             if branch == "a":
-                track.score_a += dists[idx]
+                track.score_a += dist
             else:
-                track.score_b += dists[idx]
+                track.score_b += dist
         if not assoc:
             continue
         best = track.best_branch()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from jcas.cli import fmt, main
+from jcas.cli import fmt, main, write_image_csv, write_rdmap_csv
+from jcas.diag_estimator import RadarImage
+from jcas.grid_estimator import RangeDopplerMap
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps")
@@ -18,6 +20,38 @@ def test_fmt_six_significant_digits():
     assert fmt(4.2517006802e-05) == "4.2517e-05"
     assert fmt(3) == "3"
     assert fmt(np.float64(0.2)) == "0.2"
+
+
+# -300 dB is the clamp floor of to_normalized_db (peak * 1e-15).
+FORMAT_EDGE_VALUES = (0.0, -0.0, -300.0, 1e-5, 99999.95, 123456.5, 1e16)
+
+
+def test_percent_formats_match_fmt():
+    # write_image_csv and write_rdmap_csv format cells with "%d" / "%.6g"
+    # and must give exactly what fmt gives.
+    for x in FORMAT_EDGE_VALUES:
+        for v in (x, np.float64(x), -x):
+            assert "%.6g" % v == fmt(v), v
+    for i in (0, 7, 479, -3, np.int64(0), np.int64(479)):
+        assert "%d" % i == fmt(i), i
+
+
+def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
+    rng = np.random.default_rng(5)
+    db = rng.uniform(-320.0, 0.0, size=(6, 9))
+    db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
+    write_rdmap_csv(tmp_path / "rd.csv", RangeDopplerMap(db, 0.0))
+    rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(6) for q in range(9)]
+    expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
+    assert (tmp_path / "rd.csv").read_text() == expected
+
+
+def test_write_image_csv_matches_per_cell_rendering(tmp_path):
+    db = np.random.default_rng(6).uniform(-320.0, 0.0, size=16)
+    write_image_csv(tmp_path / "img.csv", RadarImage(db, 0.0))
+    rows = [f"{b},{fmt(db[b])}" for b in range(9)]
+    expected = "\n".join(["bin,magnitude_db", *rows]) + "\n"
+    assert (tmp_path / "img.csv").read_text() == expected
 
 
 def test_simulate_fig4_hamming(tmp_path):
@@ -133,6 +167,49 @@ rcs_m2 = 3.16
 """)
     assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
     assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_target_beyond_unambiguous_range(tmp_path, capsys):
+    # 178.6 m is the table-1 unambiguous range; a 300 m vehicle would show
+    # up near 121 m.
+    out = tmp_path / "run"
+    scene = tmp_path / "far.cfg"
+    scene.write_text("""
+[scene]
+measurement_times_s = [0.0, 0.2]
+[[vehicle]]
+name = "near"
+initial_range_m = 40.0
+relative_speed_mps = 5.0
+rcs_m2 = 3.16
+[[vehicle]]
+name = "far"
+initial_range_m = 290.0
+relative_speed_mps = 50.0
+rcs_m2 = 3.16
+""")
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "vehicle far at t=0 s is at 290 m" in err
+    assert "unambiguous range" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_target_leaving_unambiguous_range(tmp_path, capsys):
+    out = tmp_path / "run"
+    scene = tmp_path / "leaving.cfg"
+    scene.write_text("""
+[scene]
+measurement_times_s = [0.0, 2.0]
+[[vehicle]]
+name = "truck"
+initial_range_m = 150.0
+relative_speed_mps = 75.0
+rcs_m2 = 100.0
+""")
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert "vehicle truck at t=2 s is at 300 m" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -265,6 +265,40 @@ class TestPairing:
         with pytest.raises(ValueError):
             pair_peaks([], amp_tolerance_db=0.0)
 
+    @staticmethod
+    def _brute_force(peaks, amp_tolerance_db=3.0):
+        # Reference: scan every (i, j) for the first smallest difference.
+        unpaired = sorted(peaks, key=lambda p: -p.magnitude_db)
+        pairs = []
+        while len(unpaired) >= 2:
+            best = None
+            for i in range(len(unpaired)):
+                for j in range(i + 1, len(unpaired)):
+                    diff = abs(unpaired[i].magnitude_db - unpaired[j].magnitude_db)
+                    if best is None or diff < best[0]:
+                        best = (diff, i, j)
+            diff, i, j = best
+            if diff > amp_tolerance_db:
+                break
+            a, b = unpaired[i], unpaired[j]
+            lo, hi = sorted((a.bin, b.bin))
+            pairs.append(PeakPair(lo, hi, 0.5 * (a.magnitude_db + b.magnitude_db)))
+            for k in (j, i):
+                unpaired.pop(k)
+        return pairs, unpaired
+
+    def test_matches_brute_force_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(1500):
+            n = int(rng.integers(0, 24))
+            # Quarter-dB magnitudes force ties and equal differences.
+            mags = (np.round(rng.uniform(-40.0, 0.0, n) * 4) / 4 if trial % 2
+                    else rng.uniform(-40.0, 0.0, n))
+            peaks = [Peak(int(b), float(m))
+                     for b, m in zip(rng.permutation(480)[:n], mags)]
+            tol = float(rng.choice([0.5, 3.0]))
+            assert pair_peaks(peaks, tol) == self._brute_force(peaks, tol), trial
+
 
 class TestCandidates:
     def test_fig3_pair_solutions(self, table1):

@@ -1,9 +1,9 @@
 """Byte-for-byte regression guard on `jcas simulate` outputs.
 
 Each directory under tests/golden/ holds the files one seeded run wrote.
-A diagonal run is compared file by file. The grid run's rdmap_<t>.csv files
-hold 230,400 rows each, so only their SHA-256 digests are kept, in
-rdmap.sha256 (``sha256sum`` format), beside the full grid_detections.csv.
+Every file is compared byte for byte, except the grid runs' rdmap_<t>.csv
+files: they hold 230,400 rows each, so only their SHA-256 digests are kept,
+in rdmap.sha256 (``sha256sum`` format).
 """
 
 import hashlib
@@ -24,24 +24,33 @@ def _simulate(tmp_path, *args):
     return out
 
 
-@pytest.mark.parametrize("scene,window", DIAG_CASES)
-def test_diag_outputs_match_golden(tmp_path, scene, window):
-    golden = GOLDEN / f"{scene}_{window}"
-    out = _simulate(tmp_path, "--scene", scene, "--window", window)
-    names = sorted(p.name for p in golden.iterdir())
-    assert sorted(p.name for p in out.iterdir()) == names
+def _assert_matches_golden(out: Path, golden: Path) -> None:
+    digest_file = golden / "rdmap.sha256"
+    digests = ({name: digest for digest, name in
+                map(str.split, digest_file.read_text().splitlines())}
+               if digest_file.exists() else {})
+    names = sorted(p.name for p in golden.iterdir() if p != digest_file)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, *digests])
     for name in names:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("scene,window", DIAG_CASES)
+def test_diag_outputs_match_golden(tmp_path, scene, window):
+    out = _simulate(tmp_path, "--scene", scene, "--window", window)
+    _assert_matches_golden(out, GOLDEN / f"{scene}_{window}")
 
 
 def test_grid_outputs_match_golden(tmp_path):
-    golden = GOLDEN / "fig4_grid2d"
     out = _simulate(tmp_path, "--scene", "fig4", "--estimator", "grid2d")
-    digests = {name: digest for digest, name in
-               map(str.split, (golden / "rdmap.sha256").read_text().splitlines())}
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        ["grid_detections.csv", *digests])
-    assert ((out / "grid_detections.csv").read_bytes()
-            == (golden / "grid_detections.csv").read_bytes())
-    for name, digest in digests.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    _assert_matches_golden(out, GOLDEN / "fig4_grid2d")
+
+
+def test_noisy_both_estimators_match_golden(tmp_path):
+    # 20 dB noise puts a dozen noise pairs and a non-zero floor into every
+    # output, which the noiseless cases never exercise.
+    out = _simulate(tmp_path, "--scene", "fig5", "--estimator", "both",
+                    "--window", "adaptive", "--snr-db", "20")
+    _assert_matches_golden(out, GOLDEN / "fig5_both_snr20")

@@ -95,3 +95,17 @@ def test_empty_frame_keeps_tracks(table1):
     tracks = resolve_ambiguity(table1, tracks, (0.2, []), 0.03)
     assert len(tracks) == 1
     assert len(tracks[0].history) == 1
+
+
+def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
+    # Two identical pairs: the first claims the track, the second opens one.
+    tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 40.0, 5.0)]), 0.03)
+    twin = [_pair_for(table1, 41.0, 5.0), _pair_for(table1, 41.0, 5.0)]
+    sol_a = tracks[0].solution("a")
+    pred_a = dual_peak_bins(table1, Target(sol_a.range_m + sol_a.velocity_mps * 0.2,
+                                           sol_a.velocity_mps, 1.0))
+    expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
+    tracks = resolve_ambiguity(table1, tracks, (0.2, twin), 0.03)
+    assert tracks[0].score_a == expected
+    assert tracks[0].history[-1][1] is twin[0]
+    assert tracks[1].history[0][1] is twin[1]
