@@ -8,10 +8,10 @@ ambiguity resolution, and a transform complexity benchmark.
 from .allocation import Allocation, AllocationKind, build_allocation, overhead
 from .bench import BenchReport, OpCount, count_ops, run_bench
 from .channel import (DiagonalModel, DiagonalVector, LinkBudget, NoiseSpec,
-                      SymbolMatrix, add_awgn, doppler_bin, dual_peak_bins,
-                      grid_peak_bins, range_bin, rx_power, synthesize_diag,
+                      SymbolMatrix, add_awgn, rx_power, synthesize_diag,
                       synthesize_grid, target_amplitudes)
-from .config import OfdmConfig, SensingCapabilities, Target, capabilities
+from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_velocity,
+                     capabilities, doppler_bin, range_bin, tone_pair_bins)
 from .diag_estimator import (CandidatePair, Peak, PeakPair, RadarImage, Solution,
                              WindowKind, apply_window, candidates, detect_peaks_1d,
                              diag_spectrum, pair_peaks, psl)

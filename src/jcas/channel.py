@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import OfdmConfig, Target
+from .config import OfdmConfig, Target, doppler_bin, range_bin, tone_pair_bins
 
 
 class DiagonalModel(Enum):
@@ -125,39 +125,6 @@ def target_amplitudes(cfg: OfdmConfig, budget: LinkBudget,
     return mags * np.exp(1j * phases)
 
 
-def range_bin(cfg: OfdmConfig, range_m: float) -> float:
-    """Fractional spectral bin contributed by the round-trip delay."""
-    return 2.0 * cfg.subcarrier_spacing * range_m * cfg.n_subcarriers / cfg.speed_of_light
-
-
-def doppler_bin(cfg: OfdmConfig, velocity_mps: float) -> float:
-    """Fractional spectral bin contributed by the Doppler shift."""
-    return (2.0 * cfg.carrier_freq * velocity_mps * cfg.time_comb_spacing
-            * cfg.useful_symbol_duration * cfg.n_sensing_time / cfg.speed_of_light)
-
-
-def grid_peak_bins(cfg: OfdmConfig, target: Target) -> tuple[float, float]:
-    """Fractional (range bin, doppler bin) of a target on the grid comb."""
-    return range_bin(cfg, target.range_m), doppler_bin(cfg, target.radial_velocity_mps)
-
-
-def dual_peak_bins(cfg: OfdmConfig, target: Target) -> tuple[float, float]:
-    """Fractional (low, high) spectral bins of a target's dual-peak profile.
-
-    The diagonal comb superposes the range and Doppler ramps, so one target
-    maps to the tone pair at |l_range - l_doppler| and l_range + l_doppler.
-    """
-    return tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
-
-
-def tone_pair_bins(cfg: OfdmConfig, range_m: float,
-                   velocity_mps: float) -> tuple[float, float]:
-    """dual_peak_bins for a bare range and velocity, without a Target."""
-    l_r = range_bin(cfg, range_m)
-    l_d = doppler_bin(cfg, velocity_mps)
-    return abs(l_r - l_d), l_r + l_d
-
-
 def _check_synth_inputs(targets: list[Target], amps: np.ndarray) -> np.ndarray:
     if not targets:
         raise ValueError("need at least one target")
@@ -201,7 +168,8 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     j = np.arange(cfg.n_sensing_time)[None, :]
     values = np.zeros((cfg.n_sensing_freq, cfg.n_sensing_time), dtype=complex)
     for target, amp in zip(targets, amps):
-        p, q = grid_peak_bins(cfg, target)
+        p = range_bin(cfg, target.range_m)
+        q = doppler_bin(cfg, target.radial_velocity_mps)
         values += (amp
                    * np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
                    * np.exp(+2j * np.pi * q * j / cfg.n_sensing_time))
@@ -218,14 +186,14 @@ def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     k = np.arange(cfg.n_diag)
     values = np.zeros(cfg.n_diag, dtype=complex)
     for target, amp in zip(targets, amps):
-        l_r = range_bin(cfg, target.range_m)
-        l_d = doppler_bin(cfg, target.radial_velocity_mps)
         if model is DiagonalModel.SINGLE_TONE:
+            l_r = range_bin(cfg, target.range_m)
+            l_d = doppler_bin(cfg, target.radial_velocity_mps)
             values += amp * np.exp(2j * np.pi * (l_d - l_r) * k / cfg.n_diag)
         elif model is DiagonalModel.DUAL_TONE:
-            values += (amp / 2.0) * (
-                np.exp(2j * np.pi * (l_r + l_d) * k / cfg.n_diag)
-                + np.exp(2j * np.pi * abs(l_r - l_d) * k / cfg.n_diag))
+            lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
+            values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
+                                     + np.exp(2j * np.pi * lo * k / cfg.n_diag))
         else:
             raise ValueError(f"unknown diagonal model: {model!r}")
     values = add_awgn(values, noise, reference_amplitude=float(np.abs(amps).max()))

@@ -1,7 +1,8 @@
 """OFDM system configuration, physical constants, and derived sensing capabilities.
 
 All other modules take an :class:`OfdmConfig` as their single source of truth
-for physics constants and block geometry.
+for physics constants and block geometry, and convert between spectral bins
+and range/velocity only through the bin maps defined here.
 """
 
 from __future__ import annotations
@@ -132,22 +133,55 @@ class SensingCapabilities:
     max_unambiguous_velocity: float  # m/s
 
 
+def range_bin(cfg: OfdmConfig, range_m: float) -> float:
+    """Fractional spectral bin contributed by the round-trip delay."""
+    return 2.0 * cfg.subcarrier_spacing * range_m * cfg.n_subcarriers / cfg.speed_of_light
+
+
+def doppler_bin(cfg: OfdmConfig, velocity_mps: float) -> float:
+    """Fractional spectral bin contributed by the Doppler shift."""
+    return (2.0 * cfg.carrier_freq * velocity_mps * cfg.time_comb_spacing
+            * cfg.useful_symbol_duration * cfg.n_sensing_time / cfg.speed_of_light)
+
+
+def bin_range(cfg: OfdmConfig, l: float) -> float:
+    """Range [m] of range bin l; the inverse of range_bin."""
+    return cfg.speed_of_light * l / (2.0 * cfg.subcarrier_spacing * cfg.n_subcarriers)
+
+
+def bin_velocity(cfg: OfdmConfig, l: float) -> float:
+    """Radial velocity [m/s] of Doppler bin l; the inverse of doppler_bin.
+
+    The Doppler axis spans the n_symbols = L_t * N_t symbols the time comb
+    covers, not the subcarrier count.
+    """
+    return cfg.speed_of_light * l / (2.0 * cfg.carrier_freq * cfg.useful_symbol_duration
+                                     * cfg.n_symbols)
+
+
+def tone_pair_bins(cfg: OfdmConfig, range_m: float,
+                   velocity_mps: float) -> tuple[float, float]:
+    """Fractional (low, high) spectral bins of a target's dual-peak profile.
+
+    The diagonal comb superposes the range and Doppler ramps, so one target
+    maps to the tone pair at |l_range - l_doppler| and l_range + l_doppler.
+    """
+    l_r = range_bin(cfg, range_m)
+    l_d = doppler_bin(cfg, velocity_mps)
+    return abs(l_r - l_d), l_r + l_d
+
+
 def capabilities(cfg: OfdmConfig) -> SensingCapabilities:
     """Derive the four sensing-capability figures from the block geometry.
 
-    Range resolution is set by the full occupied bandwidth, the unambiguous
-    range by the frequency comb spacing; velocity resolution by the observed
-    block span, the unambiguous velocity by the time comb spacing.
+    A resolution is one bin; an unambiguous limit is the comb's N bins
+    (N_f for range, N_t for velocity), beyond which bins wrap.
     """
-    c = cfg.speed_of_light
-    t_u = cfg.useful_symbol_duration
-    l_f = cfg.freq_comb_spacing
-    l_t = cfg.time_comb_spacing
     return SensingCapabilities(
-        range_resolution=c / (2.0 * cfg.n_subcarriers * cfg.subcarrier_spacing),
-        velocity_resolution=c / (2.0 * cfg.carrier_freq * cfg.n_sensing_time * l_t * t_u),
-        max_unambiguous_range=c / (2.0 * l_f * cfg.subcarrier_spacing),
-        max_unambiguous_velocity=c / (2.0 * cfg.carrier_freq * l_t * t_u),
+        range_resolution=bin_range(cfg, 1),
+        velocity_resolution=bin_velocity(cfg, 1),
+        max_unambiguous_range=bin_range(cfg, cfg.n_sensing_freq),
+        max_unambiguous_velocity=bin_velocity(cfg, cfg.n_sensing_time),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transforms
 from .channel import DiagonalVector
-from .config import OfdmConfig
+from .config import OfdmConfig, bin_range, bin_velocity
 from .grid_estimator import to_normalized_db
 
 
@@ -274,18 +274,11 @@ def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0
 def candidates(cfg: OfdmConfig, pair: PeakPair) -> CandidatePair:
     """The two (range, velocity) solutions a dual-peak pair admits.
 
-    With mean bin m and difference d: sol_a reads range from m and velocity
-    from d; sol_b reads range from d and velocity from m. The degenerate
-    coincident pair (d = 0) yields sol_a = (R, 0) and sol_b = (0, v).
+    With mean bin m and difference d: sol_a reads m as the range bin and d/2
+    as the Doppler bin; sol_b swaps the roles. The degenerate coincident
+    pair (d = 0) yields sol_a = (R, 0) and sol_b = (0, v).
     """
-    c = cfg.speed_of_light
-    df = cfg.subcarrier_spacing
-    fc = cfg.carrier_freq
-    t_u = cfg.useful_symbol_duration
-    n_c = cfg.n_subcarriers
     m, d = pair.mean_bin, pair.delta_bin
-    sol_a = Solution(range_m=c * m / (2.0 * df * n_c),
-                     velocity_mps=c * d / (4.0 * t_u * fc * n_c))
-    sol_b = Solution(range_m=c * d / (4.0 * df * n_c),
-                     velocity_mps=c * m / (2.0 * t_u * fc * n_c))
+    sol_a = Solution(range_m=bin_range(cfg, m), velocity_mps=bin_velocity(cfg, d / 2))
+    sol_b = Solution(range_m=bin_range(cfg, d / 2), velocity_mps=bin_velocity(cfg, m))
     return CandidatePair(sol_a=sol_a, sol_b=sol_b)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import transforms
 from .channel import SymbolMatrix
-from .config import OfdmConfig
+from .config import OfdmConfig, bin_range, bin_velocity
 
 # Cells below peak * 1e-15 are clamped so the dB map stays finite.
 _MAG_FLOOR_REL = 1e-15
@@ -65,12 +65,12 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
 
 
 def detect_peaks_2d(rd_map: RangeDopplerMap, threshold_db: float,
-                    guard: int = 2, cfg: OfdmConfig | None = None) -> list[GridDetection]:
+                    cfg: OfdmConfig, guard: int = 2) -> list[GridDetection]:
     """Cells above threshold that strictly dominate their guard neighborhood.
 
     Neighborhoods wrap around (DFT bins are circular). Detections are sorted
-    by magnitude, strongest first. Physical range/velocity are filled in when
-    a config is supplied, else left at nan.
+    by magnitude, strongest first, with range/velocity read by
+    bins_to_estimate.
     """
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
@@ -93,10 +93,7 @@ def detect_peaks_2d(rd_map: RangeDopplerMap, threshold_db: float,
             if not is_max:
                 break
         if is_max:
-            if cfg is not None:
-                r, v = bins_to_estimate(cfg, int(p), int(q))
-            else:
-                r = v = float("nan")
+            r, v = bins_to_estimate(cfg, int(p), int(q))
             found.append(GridDetection(int(p), int(q), float(val), r, v))
     found.sort(key=lambda d: -d.magnitude_db)
     return found
@@ -108,8 +105,4 @@ def bins_to_estimate(cfg: OfdmConfig, p: int, q: int) -> tuple[float, float]:
         raise ValueError(f"range bin {p} out of [0, {cfg.n_sensing_freq})")
     if not 0 <= q < cfg.n_sensing_time:
         raise ValueError(f"doppler bin {q} out of [0, {cfg.n_sensing_time})")
-    c = cfg.speed_of_light
-    r = c * p / (2.0 * cfg.freq_comb_spacing * cfg.subcarrier_spacing * cfg.n_sensing_freq)
-    v = c * q / (2.0 * cfg.carrier_freq * cfg.time_comb_spacing
-                 * cfg.useful_symbol_duration * cfg.n_sensing_time)
-    return r, v
+    return bin_range(cfg, p), bin_velocity(cfg, q)

@@ -79,20 +79,26 @@ def targets_at(scene: Scene, t: float) -> list[Target]:
 
 
 def check_unambiguous_range(scene: Scene, cfg: OfdmConfig) -> None:
-    """Refuse a scene with a vehicle at or beyond the unambiguous range.
+    """Refuse a scene with a vehicle outside the unambiguous range or velocity.
 
-    Such a vehicle's range bin wraps around, so it would be reported at
-    range modulo capabilities(cfg).max_unambiguous_range without a sign of
-    the aliasing. Every measurement time is checked.
+    Such a vehicle's range or Doppler bin wraps around, so it would be
+    reported modulo capabilities(cfg).max_unambiguous_range (or _velocity)
+    without a sign of the aliasing. A speed is checked by its magnitude,
+    a range at every measurement time.
     """
-    max_range = capabilities(cfg).max_unambiguous_range
+    caps = capabilities(cfg)
+    for v in scene.vehicles:
+        if abs(v.relative_speed_mps) >= caps.max_unambiguous_velocity:
+            raise ValueError(
+                f"vehicle {v.name} moves at {v.relative_speed_mps:g} m/s, at or "
+                f"beyond the {caps.max_unambiguous_velocity:g} m/s unambiguous velocity")
     for t in scene.measurement_times_s:
         for v in scene.vehicles:
             r = v.range_at(t)
-            if r >= max_range:
+            if r >= caps.max_unambiguous_range:
                 raise ValueError(
                     f"vehicle {v.name} at t={t:g} s is at {r:g} m, "
-                    f"at or beyond the {max_range:g} m unambiguous range")
+                    f"at or beyond the {caps.max_unambiguous_range:g} m unambiguous range")
 
 
 _BUILTIN = {

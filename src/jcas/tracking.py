@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import tone_pair_bins
-from .config import OfdmConfig
+from .config import OfdmConfig, tone_pair_bins
 from .diag_estimator import CandidatePair, PeakPair, Solution, candidates
 
 # A branch whose prediction lands farther than this from every observed pair

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,3 +29,10 @@ def small_cfg() -> OfdmConfig:
         block_duration=3e-3,
         symbol_duration_physical=8.92e-6,
     )
+
+
+@pytest.fixture(scope="session")
+def unequal_cfg() -> OfdmConfig:
+    # Time comb spacing L_t = 4 against L_f = 7: the Doppler axis spans
+    # n_symbols = 1920 symbols, not n_subcarriers = 3360.
+    return dataclasses.replace(OfdmConfig.table1(), n_symbols=1920)

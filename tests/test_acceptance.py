@@ -14,9 +14,9 @@ import pytest
 
 from jcas.allocation import AllocationKind, build_allocation, overhead
 from jcas.bench import count_ops
-from jcas.channel import (DiagonalVector, LinkBudget, dual_peak_bins, rx_power,
-                          synthesize_diag, synthesize_grid, target_amplitudes)
-from jcas.config import OfdmConfig, Target, capabilities
+from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
+                          synthesize_grid, target_amplitudes)
+from jcas.config import OfdmConfig, Target, capabilities, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  RadarImage, WindowKind, apply_window,
                                  candidates, detect_peaks_1d, diag_spectrum,
@@ -191,8 +191,10 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
         d = synthesize_diag(CFG, targets, amps)
         n = len(d.values)
         bins = np.arange(OVERSAMPLE * n) / OVERSAMPLE  # native-bin units
-        tones = [b for tgt in targets for b in dual_peak_bins(CFG, tgt)]
-        weak_tones = dual_peak_bins(CFG, targets[1])  # the motorcycle
+        tones = [b for tgt in targets
+                 for b in tone_pair_bins(CFG, tgt.range_m, tgt.radial_velocity_mps)]
+        moto = targets[1]
+        weak_tones = tone_pair_bins(CFG, moto.range_m, moto.radial_velocity_mps)
         failures = []
         for window in (WindowKind.RECTANGULAR, WindowKind.HAMMING):
             windowed = apply_window(d, window)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import (DiagonalModel, LinkBudget, NoiseSpec, add_awgn,
-                          doppler_bin, dual_peak_bins, range_bin, rx_power,
+from jcas.channel import (DiagonalModel, LinkBudget, NoiseSpec, add_awgn, rx_power,
                           synthesize_diag, synthesize_grid, target_amplitudes)
-from jcas.config import Target
+from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
+                         tone_pair_bins)
 from oracles import expected_doppler_bin, expected_range_bin, power_ratio_db
 
 BUDGET = LinkBudget()
@@ -55,20 +55,27 @@ class TestRxPower:
 
 
 class TestBinMaps:
-    def test_range_bin_oracle(self, table1):
-        for r in (6.0, 10.6, 39.0, 40.0, 178.0):
-            assert range_bin(table1, r) == pytest.approx(
-                expected_range_bin(table1, r), rel=1e-12)
+    def test_range_bin_oracle(self, table1, unequal_cfg):
+        for cfg in (table1, unequal_cfg):
+            for r in (6.0, 10.6, 39.0, 40.0, 178.0):
+                assert range_bin(cfg, r) == pytest.approx(
+                    expected_range_bin(cfg, r), rel=1e-12)
+                assert bin_range(cfg, range_bin(cfg, r)) == pytest.approx(r, rel=1e-12)
         assert range_bin(table1, 40.0) == pytest.approx(107.52)
 
-    def test_doppler_bin_oracle(self, table1):
-        for v in (3.0, 5.0, 20.0, 91.0):
-            assert doppler_bin(table1, v) == pytest.approx(
-                expected_doppler_bin(table1, v), rel=1e-12)
+    def test_doppler_bin_oracle(self, table1, unequal_cfg):
+        for cfg in (table1, unequal_cfg):
+            for v in (3.0, 5.0, 20.0, 91.0):
+                assert doppler_bin(cfg, v) == pytest.approx(
+                    expected_doppler_bin(cfg, v), rel=1e-12)
+                assert bin_velocity(cfg, doppler_bin(cfg, v)) == pytest.approx(
+                    v, rel=1e-12)
         assert doppler_bin(table1, 5.0) == pytest.approx(26.1333, abs=1e-4)
+        # L_t = 4 instead of 7: the same speed moves 4/7 as many bins.
+        assert doppler_bin(unequal_cfg, 5.0) == pytest.approx(14.9333, abs=1e-4)
 
-    def test_dual_peak_bins_fig3_target(self, table1):
-        lo, hi = dual_peak_bins(table1, Target(40.0, 5.0, 1.0))
+    def test_tone_pair_bins_fig3_target(self, table1):
+        lo, hi = tone_pair_bins(table1, 40.0, 5.0)
         assert lo == pytest.approx(81.3867, abs=1e-4)
         assert hi == pytest.approx(133.6533, abs=1e-4)
 
@@ -105,7 +112,7 @@ class TestSynthesizeDiag:
     def test_dual_tone_is_two_complex_exponentials(self, table1):
         tgt = Target(40.0, 5.0, 1.0)
         d = synthesize_diag(table1, [tgt], np.array([1.0]))
-        lo, hi = dual_peak_bins(table1, tgt)
+        lo, hi = tone_pair_bins(table1, tgt.range_m, tgt.radial_velocity_mps)
         k = np.arange(table1.n_diag)
         expected = 0.5 * (np.exp(2j * np.pi * hi * k / 480)
                           + np.exp(2j * np.pi * lo * k / 480))

@@ -126,6 +126,31 @@ rcs_m2 = 3.16
     assert (out / "detections.csv").exists()
 
 
+def test_simulate_unequal_comb_spacings_one_resolved_track(tmp_path):
+    # n_symbols = 1920 gives L_t = 4 against L_f = 7; the diagonal reading
+    # must use the same Doppler axis as the grid (one cell: 0.334821 m/s).
+    out = tmp_path / "run"
+    scene = tmp_path / "unequal.cfg"
+    scene.write_text("""
+[scene]
+measurement_times_s = [0.0, 0.2, 0.4]
+[[vehicle]]
+name = "car"
+initial_range_m = 40.0
+relative_speed_mps = 5.0
+rcs_m2 = 3.16
+[ofdm]
+n_symbols = 1920
+""")
+    assert main(["simulate", "--scene", str(scene), "--estimator", "both",
+                 "--out", str(out)]) == 0
+    header, tracks = _read_csv(out / "tracks.csv")
+    assert header == "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps"
+    assert len(tracks) == 1
+    assert tracks[0][1] == "3" and tracks[0][4] == "a"
+    assert abs(float(tracks[0][6]) - 5.0) <= 0.334821
+
+
 def test_simulate_single_tone_model(tmp_path):
     out = tmp_path / "run"
     scene = tmp_path / "one_car.cfg"
@@ -210,6 +235,33 @@ rcs_m2 = 100.0
 """)
     assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
     assert "vehicle truck at t=2 s is at 300 m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("speed", [120.0, -120.0])
+def test_simulate_refuses_speed_beyond_unambiguous_velocity(tmp_path, capsys, speed):
+    # 91.8367 m/s is the table-1 unambiguous velocity; a 120 m/s vehicle's
+    # Doppler bin wraps (the grid reads it at 28.1 m/s).
+    out = tmp_path / "run"
+    scene = tmp_path / "fast.cfg"
+    scene.write_text(f"""
+[scene]
+measurement_times_s = [0.0, 0.2]
+[[vehicle]]
+name = "car"
+initial_range_m = 40.0
+relative_speed_mps = 5.0
+rcs_m2 = 3.16
+[[vehicle]]
+name = "racer"
+initial_range_m = 60.0
+relative_speed_mps = {speed}
+rcs_m2 = 3.16
+""")
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"vehicle racer moves at {speed:g} m/s" in err
+    assert "91.8367 m/s unambiguous velocity" in err
     assert not out.exists()
 
 

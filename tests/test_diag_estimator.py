@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import DiagonalVector, dual_peak_bins, synthesize_diag
-from jcas.config import Target
+from jcas.channel import DiagonalVector, synthesize_diag
+from jcas.config import Target, capabilities, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  PeakPair, WindowKind, apply_window, candidates,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
@@ -76,7 +76,8 @@ class TestSpectrum:
         assert np.max(np.abs(a.magnitude_db - b.magnitude_db)) < 1e-6
 
     def test_single_tone_model_peaks_at_reflected_bin(self, table1):
-        from jcas.channel import DiagonalModel, doppler_bin, range_bin
+        from jcas.channel import DiagonalModel
+        from jcas.config import doppler_bin, range_bin
         d = synthesize_diag(table1, [FIG3_TARGET], np.array([1.0]),
                             model=DiagonalModel.SINGLE_TONE)
         peaks = detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0)
@@ -85,7 +86,7 @@ class TestSpectrum:
         assert [p.bin for p in peaks] == [expected] == [399]
 
     def test_dual_tone_zero_velocity_single_full_peak(self, table1):
-        from jcas.channel import range_bin
+        from jcas.config import range_bin
         tgt = Target(40.0, 0.0, 1.0)
         d = synthesize_diag(table1, [tgt], np.array([1.0]))
         peaks = detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0)
@@ -110,7 +111,7 @@ class TestSpectrum:
     def test_window_choice_does_not_move_peaks(self, table1, r, v):
         # windowing reshapes sidelobes, not peak positions
         tgt = Target(r, v, 1.0)
-        lo, hi = dual_peak_bins(table1, tgt)
+        lo, hi = tone_pair_bins(table1, r, v)
         if abs(hi - lo) < 8:
             return
         rect = _image_of(table1, [tgt], [1.0], WindowKind.RECTANGULAR)
@@ -314,17 +315,27 @@ class TestCandidates:
         assert cand.sol_b.range_m == 0.0
         assert cand.sol_a.range_m > 0 and cand.sol_b.velocity_mps > 0
 
+    def test_unequal_comb_spacings_read_within_one_cell(self, unequal_cfg):
+        # L_t = 4, L_f = 7: the Doppler bin maps back over the n_symbols = 1920
+        # symbols the time comb spans, not over n_subcarriers.
+        caps = capabilities(unequal_cfg)
+        d = synthesize_diag(unequal_cfg, [FIG3_TARGET], np.array([1.0]))
+        pairs, _ = pair_peaks(detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0))
+        sol = candidates(unequal_cfg, pairs[0]).sol_a
+        assert abs(sol.range_m - 40.0) <= caps.range_resolution
+        assert abs(sol.velocity_mps - 5.0) <= caps.velocity_resolution
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=2.0, max_value=80.0),
            st.floats(min_value=0.5, max_value=40.0))
     def test_candidates_invert_forward_bin_map(self, table1, r, v):
-        lo, hi = dual_peak_bins(table1, Target(r, v, 1.0))
+        lo, hi = tone_pair_bins(table1, r, v)
         l1, l2 = round(lo), round(hi)
         if l2 - l1 < 2:
             return
         cand = candidates(table1, PeakPair(l1, l2, 0.0))
         for sol in (cand.sol_a, cand.sol_b):
-            lo2, hi2 = dual_peak_bins(table1, Target(sol.range_m, sol.velocity_mps, 1.0))
+            lo2, hi2 = tone_pair_bins(table1, sol.range_m, sol.velocity_mps)
             assert abs(lo2 - l1) <= 1.0 and abs(hi2 - l2) <= 1.0
         # one of the two solutions is the true target, within a bin quantum
         err_a = abs(cand.sol_a.range_m - r)

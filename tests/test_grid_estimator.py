@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import SymbolMatrix, doppler_bin, range_bin, synthesize_grid
-from jcas.config import Target
+from jcas.channel import SymbolMatrix, synthesize_grid
+from jcas.config import Target, capabilities, doppler_bin, range_bin
 from jcas.grid_estimator import (bins_to_estimate, detect_peaks_2d,
                                  range_doppler_map)
 from oracles import brute_2d
@@ -88,7 +88,7 @@ def test_single_target_exactly_one_detection(table1):
     # the 2-D skirt is a separable product of monotone 1-D skirts, so a lone
     # target yields exactly one local maximum at any threshold
     c = synthesize_grid(table1, [Target(40.0, 5.0, 1.0)], np.array([1.0]))
-    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-40.0, guard=2)
+    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-40.0, cfg=table1, guard=2)
     assert len(dets) == 1
     assert (dets[0].range_bin, dets[0].doppler_bin) == (108, 26)
 
@@ -97,7 +97,7 @@ def test_masked_weak_target_suppressed_by_threshold(table1):
     gap = 10 ** (-32 / 20)
     c = synthesize_grid(table1, [Target(20.0, 5.0, 1.0), Target(60.0, 25.0, 1.0)],
                         np.array([1.0, gap]))
-    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-20.0, guard=2)
+    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-20.0, cfg=table1, guard=2)
     assert len(dets) == 1
 
 
@@ -106,15 +106,16 @@ def test_flat_map_yields_no_peaks(small_cfg):
     flat = rd.magnitude_db.copy()
     flat[:] = 0.0
     from jcas.grid_estimator import RangeDopplerMap
-    assert detect_peaks_2d(RangeDopplerMap(flat, 0.0), threshold_db=-3.0) == []
+    assert detect_peaks_2d(RangeDopplerMap(flat, 0.0), threshold_db=-3.0,
+                           cfg=small_cfg) == []
 
 
 def test_detect_rejects_bad_arguments(small_cfg):
     rd = range_doppler_map(SymbolMatrix(np.ones((48, 48), dtype=complex)))
     with pytest.raises(ValueError):
-        detect_peaks_2d(rd, threshold_db=1.0)
+        detect_peaks_2d(rd, threshold_db=1.0, cfg=small_cfg)
     with pytest.raises(ValueError):
-        detect_peaks_2d(rd, threshold_db=-10.0, guard=0)
+        detect_peaks_2d(rd, threshold_db=-10.0, cfg=small_cfg, guard=0)
 
 
 def test_bins_to_estimate_values(table1):
@@ -122,6 +123,17 @@ def test_bins_to_estimate_values(table1):
     r, v = bins_to_estimate(table1, 108, 26)
     assert r == pytest.approx(40.1786, abs=1e-4)
     assert v == pytest.approx(4.97449, abs=1e-5)
+
+
+def test_unequal_comb_spacings_read_within_one_cell(unequal_cfg):
+    # L_t = 4, L_f = 7: the Doppler bin maps back over the n_symbols = 1920
+    # symbols the time comb spans.
+    caps = capabilities(unequal_cfg)
+    c = synthesize_grid(unequal_cfg, [Target(40.0, 5.0, 1.0)], np.array([1.0]))
+    p, q = _top_peak(range_doppler_map(c))
+    r_hat, v_hat = bins_to_estimate(unequal_cfg, int(p), int(q))
+    assert abs(r_hat - 40.0) <= caps.range_resolution
+    assert abs(v_hat - 5.0) <= caps.velocity_resolution
 
 
 def test_bins_to_estimate_bounds(table1):

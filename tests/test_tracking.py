@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from jcas.channel import dual_peak_bins
-from jcas.config import Target
+from jcas.config import tone_pair_bins
 from jcas.diag_estimator import PeakPair
 from jcas.tracking import Hypothesis, resolve_ambiguity
 
 
 def _pair_for(cfg, r, v, mag=0.0):
-    lo, hi = dual_peak_bins(cfg, Target(r, v, 1.0))
+    lo, hi = tone_pair_bins(cfg, r, v)
     return PeakPair(round(lo), round(hi), mag)
 
 
@@ -102,8 +101,8 @@ def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
     tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 40.0, 5.0)]), 0.03)
     twin = [_pair_for(table1, 41.0, 5.0), _pair_for(table1, 41.0, 5.0)]
     sol_a = tracks[0].solution("a")
-    pred_a = dual_peak_bins(table1, Target(sol_a.range_m + sol_a.velocity_mps * 0.2,
-                                           sol_a.velocity_mps, 1.0))
+    pred_a = tone_pair_bins(table1, sol_a.range_m + sol_a.velocity_mps * 0.2,
+                            sol_a.velocity_mps)
     expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
     tracks = resolve_ambiguity(table1, tracks, (0.2, twin), 0.03)
     assert tracks[0].score_a == expected
