@@ -6,7 +6,7 @@ Subcommands::
                       [--model dual-tone|single-tone] [--estimator diag|grid2d|both]
                       [--snr-db F] [--seed N] [--out DIR]
     jcas capabilities [--scene <file>] [--alloc-csv DIR]
-    jcas bench        [--n SIZE ...] [--repeats K] [--counted-only] [--csv FILE]
+    jcas bench        [--n SIZE ...] [--csv FILE]
 
 All numeric output is written with 6 significant digits and '.' decimals;
 identical configuration and seed give byte-identical files.
@@ -25,8 +25,7 @@ from .allocation import AllocationKind, build_allocation, overhead
 from .channel import (DiagonalModel, LinkBudget, NoiseSpec, synthesize_diag,
                       synthesize_grid, target_amplitudes)
 from .config import OfdmConfig, capabilities
-from .diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, candidates,
-                             process_frame)
+from .diag_estimator import WINDOW_MODES, PeakPair, RadarImage, process_frame
 from .grid_estimator import RangeDopplerMap, detect_peaks_2d, range_doppler_map
 from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
                        targets_at)
@@ -86,23 +85,26 @@ def write_rdmap_csv(path: Path, rd: RangeDopplerMap) -> None:
             f.write(template % tuple(args))
 
 
-def _detection_rows(cfg: OfdmConfig, t: float, pairs: list[PeakPair],
+def _detection_rows(t: float, pairs: list[PeakPair],
                     tracks: list[Hypothesis]) -> list[str]:
+    """One detections.csv row per pair of frame t.
+
+    Every pair is the latest history entry of the track that claimed it or
+    that it opened; when several tracks claimed one pair, the last one owns it.
+    """
     by_pair = {id(tr.history[-1][1]): tr for tr in tracks
-               if tr.history and tr.history[-1][0] == t}
+               if tr.history[-1][0] == t}
     rows = []
     for pair in pairs:
-        cand = candidates(cfg, pair)
-        track = by_pair.get(id(pair))
-        track_id = track.track_id if track else -1
-        resolved = track.chosen if track else "undecided"
-        best = track.best_solution() if track else cand.sol_a
+        track = by_pair[id(pair)]
+        cand = track.history[-1][2]
+        best = track.best_solution()
         rows.append(",".join([
             fmt(t), str(pair.l1), str(pair.l2), fmt(pair.mean_bin),
             str(pair.delta_bin),
             fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
             fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps),
-            fmt(pair.magnitude_db), str(track_id), resolved,
+            fmt(pair.magnitude_db), str(track.track_id), track.chosen,
             fmt(best.range_m), fmt(best.velocity_mps),
         ]))
     return rows
@@ -134,7 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
             tracks = resolve_ambiguity(cfg, tracks, (t, frame.pairs),
                                        scene.frame_interval_s)
-            det_rows += _detection_rows(cfg, t, frame.pairs, tracks)
+            det_rows += _detection_rows(t, frame.pairs, tracks)
         if run_grid:
             rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
             write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
@@ -192,22 +194,16 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.n or [64, 128, 256]
-    report = bench_mod.run_bench(sizes, repeats=args.repeats,
-                                 time_runs=not args.counted_only)
-    header = f"{'algorithm':<12}{'n':>6}{'multiplies':>14}{'wall_ns':>14}"
-    print(header)
+    report = bench_mod.run_bench(sizes)
+    print(f"{'algorithm':<12}{'n':>6}{'multiplies':>14}")
     for row in report.rows:
-        print(f"{row.algorithm:<12}{row.n:>6}{row.counted_multiplies:>14}"
-              f"{row.wall_time_ns:>14}")
+        print(f"{row.transform_label:<12}{row.n:>6}{row.complex_multiplies:>14}")
     for n in sizes:
-        line = f"n={n}: counted ratio {fmt(report.ratio_counted[n])}"
-        if n in report.ratio_time:
-            line += f", time ratio {fmt(report.ratio_time[n])}"
-        print(line)
+        print(f"n={n}: counted ratio {fmt(report.ratio_counted[n])}")
     if args.csv is not None:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(Path(args.csv), "algorithm,n,counted_multiplies,wall_time_ns",
-                   [f"{r.algorithm},{r.n},{r.counted_multiplies},{r.wall_time_ns}"
+        _write_csv(Path(args.csv), "algorithm,n,counted_multiplies",
+                   [f"{r.transform_label},{r.n},{r.complex_multiplies}"
                     for r in report.rows])
     return 0
 
@@ -240,12 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for allocation m,n CSV exports")
     cap.set_defaults(func=cmd_capabilities)
 
-    ben = sub.add_parser("bench", help="complexity benchmark of the transforms")
+    ben = sub.add_parser("bench", help="counted complex multiplies of the two transforms")
     ben.add_argument("--n", type=int, action="append",
                      help="transform size; repeatable (default 64 128 256)")
-    ben.add_argument("--repeats", type=int, default=5)
-    ben.add_argument("--counted-only", action="store_true",
-                     help="skip wall-clock timing")
     ben.add_argument("--csv", default=None, help="also write report CSV here")
     ben.set_defaults(func=cmd_bench)
     return parser

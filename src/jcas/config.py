@@ -7,7 +7,7 @@ and range/velocity only through the bin maps defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
 
@@ -36,10 +36,6 @@ class OfdmConfig:
         Block duration [s]; bookkeeping only.
     symbol_duration_physical : float
         Per-symbol duration including cyclic prefix [s]; bookkeeping only.
-    useful_symbol_duration : float
-        Cyclic-prefix-free symbol duration [s]. Must equal
-        1/subcarrier_spacing; this, not the physical duration, enters all
-        phase and estimation arithmetic.
     speed_of_light : float
         Propagation speed [m/s].
     """
@@ -53,7 +49,6 @@ class OfdmConfig:
     n_diag: int
     block_duration: float
     symbol_duration_physical: float
-    useful_symbol_duration: float = field(default=0.0)
     speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
@@ -66,12 +61,6 @@ class OfdmConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.useful_symbol_duration == 0.0:
-            object.__setattr__(self, "useful_symbol_duration",
-                               1.0 / self.subcarrier_spacing)
-        elif self.useful_symbol_duration != 1.0 / self.subcarrier_spacing:
-            raise ValueError(
-                "useful_symbol_duration must equal 1/subcarrier_spacing")
         if self.n_subcarriers % self.n_sensing_freq:
             raise ValueError(
                 f"frequency comb spacing {self.n_subcarriers}/{self.n_sensing_freq} "
@@ -100,6 +89,15 @@ class OfdmConfig:
     def bandwidth(self) -> float:
         """Total occupied bandwidth [Hz] = N_c * subcarrier spacing."""
         return self.n_subcarriers * self.subcarrier_spacing
+
+    @property
+    def useful_symbol_duration(self) -> float:
+        """Cyclic-prefix-free symbol duration [s] = 1/subcarrier spacing.
+
+        This, not the physical duration, enters all phase and estimation
+        arithmetic.
+        """
+        return 1.0 / self.subcarrier_spacing
 
     @property
     def freq_comb_spacing(self) -> int:

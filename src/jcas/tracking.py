@@ -55,8 +55,8 @@ def _predicted_pair(cfg: OfdmConfig, sol: Solution, dt: float) -> tuple[float, f
     return tone_pair_bins(cfg, sol.range_m + sol.velocity_mps * dt, sol.velocity_mps)
 
 
-def _start_track(track_id: int, t: float, pair: PeakPair, cfg: OfdmConfig) -> Hypothesis:
-    cand = candidates(cfg, pair)
+def _start_track(track_id: int, t: float, pair: PeakPair,
+                 cand: CandidatePair) -> Hypothesis:
     track = Hypothesis(track_id=track_id, history=[(t, pair, cand)])
     # A non-positive range cannot be a physical target; kill that branch now.
     if cand.sol_a.range_m <= 0.0:
@@ -84,6 +84,7 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
             raise ValueError("frame times must be strictly increasing")
 
     claimed: set[int] = set()
+    cands = [candidates(cfg, pair) for pair in pairs]
     l1 = np.array([p.l1 for p in pairs], dtype=float)
     l2 = np.array([p.l2 for p in pairs], dtype=float)
     for track in tracks:
@@ -107,13 +108,10 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
                 track.score_b += dist
         if not assoc:
             continue
-        best = track.best_branch()
-        if best not in assoc:
-            best = next(iter(assoc))
-        dist, idx = assoc[best]
+        # The best branch is finite whenever any branch is, so it is in assoc.
+        dist, idx = assoc[track.best_branch()]
         if dist <= NEW_TRACK_GATE_BINS:
-            pair = pairs[idx]
-            track.history.append((t, pair, candidates(cfg, pair)))
+            track.history.append((t, pairs[idx], cands[idx]))
             claimed.add(idx)
         if (len(track.history) >= _FRAMES_TO_DECIDE
                 and abs(track.score_a - track.score_b) > DECISION_MARGIN_BINS):
@@ -122,6 +120,6 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
     next_id = max((tr.track_id for tr in tracks), default=-1) + 1
     for idx, pair in enumerate(pairs):
         if idx not in claimed:
-            tracks.append(_start_track(next_id, t, pair, cfg))
+            tracks.append(_start_track(next_id, t, pair, cands[idx]))
             next_id += 1
     return tracks

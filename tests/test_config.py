@@ -61,13 +61,10 @@ def test_non_integral_comb_spacing_rejected():
                    block_duration=30e-3, symbol_duration_physical=8.92e-6)
 
 
-def test_wrong_useful_symbol_duration_rejected():
-    with pytest.raises(ValueError, match="useful_symbol_duration"):
-        OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
-                   n_subcarriers=3360, n_symbols=3360,
-                   n_sensing_freq=480, n_sensing_time=480, n_diag=480,
-                   block_duration=30e-3, symbol_duration_physical=8.92e-6,
-                   useful_symbol_duration=8.92e-6)
+def test_useful_symbol_duration_follows_spacing(table1):
+    cfg = dataclasses.replace(table1, subcarrier_spacing=60e3)
+    assert cfg.useful_symbol_duration == 1.0 / 60e3
+    assert table1.useful_symbol_duration == 1.0 / 120e3
 
 
 def test_diagonal_validation():
