@@ -113,9 +113,9 @@ def _detection_rows(t: float, pairs: list[PeakPair],
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
     check_unambiguous_range(scene, cfg)
+    noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
     model = DiagonalModel(args.model)
     windows = WINDOW_MODES[args.window]
     run_diag = args.estimator in ("diag", "both")
@@ -134,8 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for kind, img in frame.images.items():
                 suffix = f"_{kind.value}" if len(windows) > 1 else ""
                 write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
-            tracks = resolve_ambiguity(cfg, tracks, (t, frame.pairs),
-                                       scene.frame_interval_s)
+            tracks = resolve_ambiguity(cfg, tracks, (t, frame.pairs))
             det_rows += _detection_rows(t, frame.pairs, tracks)
         if run_grid:
             rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))

@@ -7,6 +7,7 @@ and range/velocity only through the bin maps defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
@@ -54,8 +55,8 @@ class OfdmConfig:
     def __post_init__(self) -> None:
         for name in ("carrier_freq", "subcarrier_spacing", "block_duration",
                      "symbol_duration_physical", "speed_of_light"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("n_subcarriers", "n_symbols", "n_sensing_freq",
                      "n_sensing_time", "n_diag"):
             v = getattr(self, name)

@@ -17,7 +17,7 @@ import numpy as np
 from . import transforms
 from .channel import DiagonalVector
 from .config import OfdmConfig, bin_range, bin_velocity
-from .grid_estimator import to_normalized_db
+from .grid_estimator import circular_maxima, to_normalized_db
 
 
 class WindowKind(Enum):
@@ -62,7 +62,8 @@ class Peak:
     """A detected spectral peak.
 
     bin is in native DFT-bin units. detect_peaks_1d gives integer-valued
-    bins; a peak read off a zero-padded image may sit between them.
+    bins, and thin_peaks takes only those; a peak read off a zero-padded
+    image may sit between them.
     """
 
     bin: float
@@ -151,32 +152,26 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
     return RadarImage(magnitude_db=db, reference_level=ref)
 
 
-def _circular_distance(a: int, b: int, n: int) -> int:
-    d = abs(a - b) % n
-    return min(d, n - d)
-
-
-def _local_maxima(db: np.ndarray, threshold_db: float) -> list[int]:
-    n = len(db)
-    return [i for i in range(n)
-            if db[i] >= threshold_db
-            and db[i] > db[(i - 1) % n] and db[i] > db[(i + 1) % n]]
-
-
 def thin_peaks(peaks: list[Peak], n: int,
                min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
     """Greedy strongest-first thinning over n circular bins.
 
-    A peak closer than min_separation bins to an already kept, stronger
-    peak is dropped; equal magnitudes keep their input order. Result is
-    sorted by magnitude descending.
+    Bins must be integer-valued. A peak closer than min_separation bins to an
+    already kept, stronger peak is dropped; equal magnitudes keep their input
+    order. Result is sorted by magnitude descending.
     """
     if min_separation < 1:
         raise ValueError("min_separation must be >= 1")
+    occupied = np.zeros(n, dtype=bool)
+    reach = np.arange(1 - min_separation, min_separation)
     kept: list[Peak] = []
     for p in sorted(peaks, key=lambda p: -p.magnitude_db):
-        if all(_circular_distance(p.bin, q.bin, n) >= min_separation for q in kept):
+        b = int(p.bin)
+        if b != p.bin:
+            raise ValueError(f"thin_peaks needs integer-valued bins, got {p.bin}")
+        if not occupied[b % n]:
             kept.append(p)
+            occupied[(b + reach) % n] = True
     return kept
 
 
@@ -192,7 +187,7 @@ def detect_peaks_1d(img: RadarImage, threshold_db: float,
         raise ValueError("threshold_db must be negative (relative to peak)")
     db = img.magnitude_db
     return thin_peaks([Peak(bin=i, magnitude_db=float(db[i]))
-                       for i in _local_maxima(db, threshold_db)],
+                       for i in circular_maxima(db, threshold_db, 1).tolist()],
                       len(db), min_separation)
 
 
@@ -215,10 +210,10 @@ def psl(img: RadarImage, mainlobe_halfwidth: int = 4,
         peak_threshold_db: float = -6.0) -> float:
     """Peak-to-sidelobe level of a radar image, in dB (negative).
 
-    Mainlobes are the bins within mainlobe_halfwidth of every local maximum
-    stronger than peak_threshold_db (all near-equal target peaks count, weak
-    sidelobe maxima do not). Returns the strongest magnitude outside those
-    windows relative to the global peak.
+    Mainlobes are the bins within mainlobe_halfwidth of the global maximum and
+    of every local maximum stronger than peak_threshold_db (all near-equal
+    target peaks count, weak sidelobe maxima do not). Returns the strongest
+    magnitude outside those windows relative to the global peak.
     """
     if mainlobe_halfwidth < 1:
         raise ValueError("mainlobe_halfwidth must be >= 1")
@@ -226,13 +221,10 @@ def psl(img: RadarImage, mainlobe_halfwidth: int = 4,
     n = len(db)
     if np.count_nonzero(db == db.max()) != 1:
         raise ValueError("image must have a unique global maximum")
-    peaks = _local_maxima(db, peak_threshold_db)
-    if not peaks:
-        peaks = [int(np.argmax(db))]
+    peaks = np.append(circular_maxima(db, peak_threshold_db, 1), np.argmax(db))
+    lobe = np.arange(-mainlobe_halfwidth, mainlobe_halfwidth + 1)
     mask = np.zeros(n, dtype=bool)
-    for p in peaks:
-        for d in range(-mainlobe_halfwidth, mainlobe_halfwidth + 1):
-            mask[(p + d) % n] = True
+    mask[(peaks[:, None] + lobe) % n] = True
     outside = db[~mask]
     if outside.size == 0:
         raise ValueError("mainlobe windows cover the whole image")

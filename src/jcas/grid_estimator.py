@@ -8,6 +8,7 @@ integer bins; no interpolation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,23 @@ def to_normalized_db(mag: np.ndarray) -> tuple[np.ndarray, float]:
     return 20.0 * np.log10(clamped / peak), 20.0 * np.log10(peak)
 
 
+def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarray:
+    """Row-major flat indices, ascending, of the cells >= threshold_db that are
+    strictly greater than every other cell within guard bins on each axis.
+
+    Axes wrap (DFT bins are circular). A neighbour that wraps back onto the
+    cell itself still counts, so no cell of an axis of <= 2*guard bins passes.
+    """
+    flat = np.flatnonzero(db >= threshold_db)
+    for offset in itertools.product(range(-guard, guard + 1), repeat=db.ndim):
+        if not any(offset):
+            continue
+        cells = np.unravel_index(flat, db.shape)
+        neighbour = tuple((c + o) % n for c, o, n in zip(cells, offset, db.shape))
+        flat = flat[db[cells] > db[neighbour]]
+    return flat
+
+
 def range_doppler_map(c: SymbolMatrix, method: str = "fast",
                       counter: transforms.MultiplyCounter | None = None) -> RangeDopplerMap:
     """2-D transform of the symbol matrix: DFT along rows, IDFT down columns.
@@ -77,26 +95,10 @@ def detect_peaks_2d(rd_map: RangeDopplerMap, threshold_db: float,
     if guard < 1:
         raise ValueError("guard must be >= 1")
     db = rd_map.magnitude_db
-    n_f, n_t = db.shape
-    found = []
-    candidates = np.argwhere(db >= threshold_db)
-    for p, q in candidates:
-        val = db[p, q]
-        is_max = True
-        for dp in range(-guard, guard + 1):
-            for dq in range(-guard, guard + 1):
-                if dp == 0 and dq == 0:
-                    continue
-                if db[(p + dp) % n_f, (q + dq) % n_t] >= val:
-                    is_max = False
-                    break
-            if not is_max:
-                break
-        if is_max:
-            r, v = bins_to_estimate(cfg, int(p), int(q))
-            found.append(GridDetection(int(p), int(q), float(val), r, v))
-    found.sort(key=lambda d: -d.magnitude_db)
-    return found
+    rows, cols = np.unravel_index(circular_maxima(db, threshold_db, guard), db.shape)
+    found = [GridDetection(p, q, float(db[p, q]), *bins_to_estimate(cfg, p, q))
+             for p, q in zip(rows.tolist(), cols.tolist())]
+    return sorted(found, key=lambda d: -d.magnitude_db)
 
 
 def bins_to_estimate(cfg: OfdmConfig, p: int, q: int) -> tuple[float, float]:

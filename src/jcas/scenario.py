@@ -23,7 +23,8 @@ OfdmConfig constructor arguments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import OfdmConfig, Target, capabilities
@@ -38,10 +39,12 @@ class VehicleSpec:
     lane: str | None = None
 
     def __post_init__(self) -> None:
-        if self.initial_range_m <= 0:
-            raise ValueError(f"vehicle {self.name}: initial range must be > 0")
-        if self.rcs_m2 <= 0:
-            raise ValueError(f"vehicle {self.name}: RCS must be > 0")
+        if not 0 < self.initial_range_m < math.inf:
+            raise ValueError(f"vehicle {self.name}: initial range must be > 0 and finite")
+        if not math.isfinite(self.relative_speed_mps):
+            raise ValueError(f"vehicle {self.name}: relative speed must be finite")
+        if not 0 < self.rcs_m2 < math.inf:
+            raise ValueError(f"vehicle {self.name}: RCS must be > 0 and finite")
 
     def range_at(self, t: float) -> float:
         return self.initial_range_m + self.relative_speed_mps * t
@@ -54,8 +57,10 @@ class Scene:
     measurement_times_s: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
-        if self.frame_interval_s <= 0:
-            raise ValueError("frame_interval_s must be positive")
+        if not 0 < self.frame_interval_s < math.inf:
+            raise ValueError("frame_interval_s must be positive and finite")
+        if not all(0 <= t < math.inf for t in self.measurement_times_s):
+            raise ValueError("measurement_times_s must be finite and >= 0")
         if any(b <= a for a, b in zip(self.measurement_times_s,
                                       self.measurement_times_s[1:])):
             raise ValueError("measurement_times_s must be strictly increasing")

@@ -67,8 +67,7 @@ def _start_track(track_id: int, t: float, pair: PeakPair,
 
 
 def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
-                      frame: tuple[float, list[PeakPair]],
-                      frame_interval: float) -> list[Hypothesis]:
+                      frame: tuple[float, list[PeakPair]]) -> list[Hypothesis]:
     """Advance all tracks with one frame of observed peak pairs.
 
     Every finite branch of every track scores the nearest observed pair;
@@ -77,8 +76,6 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
     Returns the updated track list (input list is mutated in place).
     """
     t, pairs = frame
-    if frame_interval <= 0:
-        raise ValueError("frame_interval must be positive")
     for track in tracks:
         if track.history and t <= track.history[-1][0]:
             raise ValueError("frame times must be strictly increasing")

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
-Everything here is written as literal summation, deliberately sharing no
-code with the package's transform kernels.
+Everything here is written as literal summation or literal loops,
+deliberately sharing no code with the package's transform kernels or its
+vectorized local-maximum rule.
 """
 
 from __future__ import annotations
@@ -65,3 +66,47 @@ def expected_doppler_bin(cfg, velocity_mps: float) -> float:
     observed_span = (cfg.n_sensing_time * cfg.time_comb_spacing
                      * cfg.useful_symbol_duration)
     return doppler_hz * observed_span
+
+
+def circular_distance(a: int, b: int, n: int) -> int:
+    d = abs(a - b) % n
+    return min(d, n - d)
+
+
+def local_maxima_1d(db, threshold_db: float) -> list[int]:
+    """Bins >= threshold strictly above both wrapped neighbours."""
+    n = len(db)
+    return [i for i in range(n)
+            if db[i] >= threshold_db
+            and db[i] > db[(i - 1) % n] and db[i] > db[(i + 1) % n]]
+
+
+def thin_pairwise(peaks: list, n: int, min_separation: int) -> list:
+    """Strongest-first thinning, each candidate checked against every kept peak."""
+    kept: list = []
+    for p in sorted(peaks, key=lambda p: -p.magnitude_db):
+        if all(circular_distance(p.bin, q.bin, n) >= min_separation for q in kept):
+            kept.append(p)
+    return kept
+
+
+def local_maxima_2d(db, threshold_db: float, guard: int) -> list[tuple[int, int]]:
+    """(p, q) cells >= threshold strictly above every wrapped guard neighbour."""
+    n_f, n_t = db.shape
+    found = []
+    candidates = np.argwhere(db >= threshold_db)
+    for p, q in candidates:
+        val = db[p, q]
+        is_max = True
+        for dp in range(-guard, guard + 1):
+            for dq in range(-guard, guard + 1):
+                if dp == 0 and dq == 0:
+                    continue
+                if db[(p + dp) % n_f, (q + dq) % n_t] >= val:
+                    is_max = False
+                    break
+            if not is_max:
+                break
+        if is_max:
+            found.append((int(p), int(q)))
+    return found

@@ -243,14 +243,12 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
 
 def test_criterion_8_multi_frame_ambiguity_resolution():
     with _criterion(8, "two-frame tracking resolves the range-velocity swap"):
-        scene = builtin_scene("fig4")
         tracks = []
         frames = {}
         for fidx, t in enumerate((0.0, 0.2)):
             _, _, pairs, _ = _scene_frame("fig4", t, fidx, WindowKind.HAMMING)
             frames[t] = pairs
-            tracks = resolve_ambiguity(CFG, tracks, (t, pairs),
-                                       scene.frame_interval_s)
+            tracks = resolve_ambiguity(CFG, tracks, (t, pairs))
         # the far car's track locks onto the true (40 m, 5 m/s) branch
         far_track = [tr for tr in tracks
                      if abs(tr.history[0][1].l1 - 79) <= 1][0]

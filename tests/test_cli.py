@@ -328,6 +328,49 @@ rcs_m2 = 3.16
     assert not out.exists()
 
 
+ONE_CAR_SCENE = """
+[scene]
+measurement_times_s = [0.0, 0.2]
+[[vehicle]]
+name = "car"
+initial_range_m = 40.0
+relative_speed_mps = 5.0
+rcs_m2 = 3.16
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "capabilities"])
+@pytest.mark.parametrize("old, new", [
+    ("initial_range_m = 40.0", "initial_range_m = nan"),
+    ("relative_speed_mps = 5.0", "relative_speed_mps = nan"),
+    ("rcs_m2 = 3.16", "rcs_m2 = nan"),
+    ("rcs_m2 = 3.16", "rcs_m2 = inf"),
+    ("[0.0, 0.2]", "[0.0, nan]"),
+    ("[0.0, 0.2]", "[-1.0, 0.2]"),
+    ("rcs_m2 = 3.16", "rcs_m2 = 3.16\n[ofdm]\ncarrier_freq = nan"),
+    ("rcs_m2 = 3.16", "rcs_m2 = 3.16\n[ofdm]\nsubcarrier_spacing = inf"),
+], ids=["range-nan", "speed-nan", "rcs-nan", "rcs-inf", "time-nan", "time-negative",
+        "carrier-nan", "spacing-inf"])
+def test_non_finite_scene_numbers_refused_before_output(tmp_path, capsys, command,
+                                                        old, new):
+    # NaN passes every "<= 0" check, so each of these used to run: a vehicle
+    # or a frame vanished, or the run failed after creating --out.
+    scene = tmp_path / "bad.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace(old, new))
+    out = tmp_path / "run"
+    argv = ["--scene", str(scene)] + (["--out", str(out)] if command == "simulate" else [])
+    assert main([command, *argv]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_non_finite_snr_before_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", "fig4", "--snr-db", "nan", "--out", str(out)]) == 1
+    assert "snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scene(tmp_path, capsys):
     rc = main(["simulate", "--scene", "fig9", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -7,7 +7,9 @@ from jcas.config import Target, capabilities, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  PeakPair, WindowKind, apply_window, candidates,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
-                                 psl, thin_peaks, window_coefficients)
+                                 RadarImage, psl, thin_peaks,
+                                 window_coefficients)
+from oracles import local_maxima_1d, thin_pairwise
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
 
@@ -134,7 +136,6 @@ class TestDetect:
         db[10] = 0.0
         db[11] = -1.0
         db[30] = -2.0
-        from jcas.diag_estimator import RadarImage
         peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0,
                                 min_separation=3)
         assert [p.bin for p in peaks] == [10, 30]
@@ -145,6 +146,42 @@ class TestDetect:
         peaks = [Peak(bin=63, magnitude_db=-5.0), Peak(bin=1, magnitude_db=-5.0),
                  Peak(bin=10, magnitude_db=-1.0)]
         assert thin_peaks(peaks, 64) == [peaks[2], peaks[0]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 480])
+    def test_matches_loop_oracle_with_ties(self, n):
+        # Quarter-dB levels make equal neighbours common; an equal neighbour
+        # (or, for n <= 2, the cell itself) stops a bin being a maximum.
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            db = rng.integers(-160, 1, size=n) * 0.25
+            for threshold in (-10.0, -25.0, -40.0):
+                for sep in (1, 3):
+                    got = detect_peaks_1d(RadarImage(db, 0.0), threshold, sep)
+                    want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i]))
+                                          for i in local_maxima_1d(db, threshold)],
+                                         n, sep)
+                    assert got == want
+                    assert all(type(p.bin) is int for p in got)
+
+    @pytest.mark.parametrize("sep", [1, 2, 3, 4, 5])
+    def test_thinning_matches_pairwise_oracle(self, sep):
+        # Few bins and quarter-dB magnitudes: repeated bins, ties across the
+        # wrap, and separations that cover most of the circle.
+        rng = np.random.default_rng(100 + sep)
+        for n in (1, 2, 5, 9, 16, 480):
+            for _ in range(40):
+                size = int(rng.integers(0, 3 * min(n, 10) + 1))
+                peaks = [Peak(bin=int(b), magnitude_db=float(m) * 0.25)
+                         for b, m in zip(rng.integers(0, n, size=size),
+                                         rng.integers(-8, 1, size=size))]
+                got = thin_peaks(peaks, n, sep)
+                want = thin_pairwise(peaks, n, sep)
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
+
+    def test_thinning_refuses_fractional_bins(self):
+        with pytest.raises(ValueError, match="integer-valued"):
+            thin_peaks([Peak(bin=91.75, magnitude_db=-3.0)], 480)
 
     def test_default_floors_are_the_documented_ones(self):
         # the goldens catch a raised floor (a detection disappears) but not
@@ -201,7 +238,6 @@ class TestPsl:
         assert psl(diag_spectrum(d), mainlobe_halfwidth=4) <= -40.0
 
     def test_flat_image_rejected(self):
-        from jcas.diag_estimator import RadarImage
         with pytest.raises(ValueError):
             psl(RadarImage(np.zeros(64), 0.0))
 

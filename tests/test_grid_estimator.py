@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import SymbolMatrix, synthesize_grid
 from jcas.config import Target, capabilities, doppler_bin, range_bin
-from jcas.grid_estimator import (bins_to_estimate, detect_peaks_2d,
-                                 range_doppler_map)
-from oracles import brute_2d
+from jcas.grid_estimator import (GridDetection, RangeDopplerMap, bins_to_estimate,
+                                 circular_maxima, detect_peaks_2d, range_doppler_map)
+from oracles import brute_2d, local_maxima_2d
 
 
 def _top_peak(rd):
@@ -105,9 +105,43 @@ def test_flat_map_yields_no_peaks(small_cfg):
     rd = range_doppler_map(SymbolMatrix(np.ones((48, 48), dtype=complex)))
     flat = rd.magnitude_db.copy()
     flat[:] = 0.0
-    from jcas.grid_estimator import RangeDopplerMap
     assert detect_peaks_2d(RangeDopplerMap(flat, 0.0), threshold_db=-3.0,
                            cfg=small_cfg) == []
+
+
+def _oracle_detections(db, threshold_db, guard, cfg):
+    found = [GridDetection(p, q, float(db[p, q]), *bins_to_estimate(cfg, p, q))
+             for p, q in local_maxima_2d(db, threshold_db, guard)]
+    return sorted(found, key=lambda d: -d.magnitude_db)
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3), (7, 9), (16, 16)])
+def test_detect_matches_loop_oracle_with_ties(small_cfg, shape, guard):
+    # Quarter-dB levels tie often. On an axis of at most 2*guard bins the
+    # wrapped neighbourhood reaches the cell itself, so nothing there is a
+    # maximum.
+    rng = np.random.default_rng(10 * shape[0] + shape[1] + guard)
+    for _ in range(20):
+        db = rng.integers(-240, 1, size=shape) * 0.25
+        for threshold in (-10.0, -20.0, -30.0, -40.0, -50.0, -60.0):
+            want = _oracle_detections(db, threshold, guard, small_cfg)
+            assert detect_peaks_2d(RangeDopplerMap(db, 0.0), threshold,
+                                   cfg=small_cfg, guard=guard) == want
+            assert circular_maxima(db, threshold, guard).tolist() == [
+                p * shape[1] + q for p, q in local_maxima_2d(db, threshold, guard)]
+
+
+def test_detect_noisy_full_map_matches_loop_oracle(table1):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((480, 480)) + 1j * rng.standard_normal((480, 480))
+    values += 2.0 * synthesize_grid(table1, [Target(40.0, 5.0, 1.0),
+                                             Target(90.0, -12.0, 1.0)],
+                                    np.array([1.0, 0.1])).values
+    rd = range_doppler_map(SymbolMatrix(values))
+    want = _oracle_detections(rd.magnitude_db, -60.0, 2, table1)
+    assert len(want) > 1000
+    assert detect_peaks_2d(rd, -60.0, cfg=table1) == want
 
 
 def test_detect_rejects_bad_arguments(small_cfg):
