@@ -18,6 +18,6 @@ from .diag_estimator import (CandidatePair, Peak, PeakPair, RadarImage, Solution
 from .grid_estimator import (GridDetection, RangeDopplerMap, bins_to_estimate,
                              detect_peaks_2d, range_doppler_map)
 from .scenario import Scene, SceneFile, VehicleSpec, builtin_scene, load_scene, targets_at
-from .tracking import Hypothesis, resolve_ambiguity
+from .tracking import Hypothesis, TrackTable, resolve_ambiguity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,6 +15,7 @@ identical configuration and seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .diag_estimator import WINDOW_MODES, PeakPair, RadarImage, process_frame
 from .grid_estimator import RangeDopplerMap, detect_peaks_2d, range_doppler_map
 from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
                        targets_at)
-from .tracking import Hypothesis, resolve_ambiguity
+from .tracking import TrackTable, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
 
@@ -85,18 +86,10 @@ def write_rdmap_csv(path: Path, rd: RangeDopplerMap) -> None:
             f.write(template % tuple(args))
 
 
-def _detection_rows(t: float, pairs: list[PeakPair],
-                    tracks: list[Hypothesis]) -> list[str]:
-    """One detections.csv row per pair of frame t.
-
-    Every pair is the latest history entry of the track that claimed it or
-    that it opened; when several tracks claimed one pair, the last one owns it.
-    """
-    by_pair = {id(tr.history[-1][1]): tr for tr in tracks
-               if tr.history[-1][0] == t}
+def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list[str]:
+    """One detections.csv row per pair of frame t, under the track that owns it."""
     rows = []
-    for pair in pairs:
-        track = by_pair[id(pair)]
+    for pair, track in zip(pairs, tracks.owner):
         cand = track.history[-1][2]
         best = track.best_solution()
         rows.append(",".join([
@@ -120,7 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     windows = WINDOW_MODES[args.window]
     run_diag = args.estimator in ("diag", "both")
     run_grid = args.estimator in ("grid2d", "both")
-    tracks: list[Hypothesis] = []
+    tracks = TrackTable()
     det_rows: list[str] = []
     grid_rows: list[str] = []
     for fidx, t in enumerate(scene.measurement_times_s):
@@ -149,10 +142,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",
                    det_rows)
         track_rows = []
-        for tr in sorted(tracks, key=lambda tr: tr.track_id):
+        for tr in tracks:
             best = tr.best_solution()
+            score_a, score_b = tr.scores
             track_rows.append(",".join([
-                str(tr.track_id), str(len(tr.history)), fmt(tr.score_a), fmt(tr.score_b),
+                str(tr.track_id), str(len(tr.history)), fmt(score_a), fmt(score_b),
                 tr.chosen, fmt(best.range_m), fmt(best.velocity_mps)]))
         _write_csv(out_dir / "tracks.csv",
                    "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)
@@ -207,7 +201,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The jcas parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="jcas",
                                      description="OFDM JCAS radar simulator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,15 +1,21 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is written as literal summation or literal loops,
-deliberately sharing no code with the package's transform kernels or its
-vectorized local-maximum rule.
+deliberately sharing no code with the package's transform kernels, its
+vectorized local-maximum rule or its track table.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from jcas.config import OfdmConfig, tone_pair_bins
+from jcas.diag_estimator import CandidatePair, PeakPair, Solution, candidates
+from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
 
 def brute_dft(x) -> np.ndarray:
@@ -110,3 +116,110 @@ def local_maxima_2d(db, threshold_db: float, guard: int) -> list[tuple[int, int]
         if is_max:
             found.append((int(p), int(q)))
     return found
+
+
+# The multi-frame tracker as a loop over a list of mutable tracks, each branch
+# scored on its own; jcas.tracking.TrackTable must match it exactly.
+_FRAMES_TO_DECIDE = 2
+
+
+@dataclass
+class Hypothesis:
+    """One track with its two unresolved (range, velocity) branches."""
+
+    track_id: int
+    chosen: str = "undecided"  # "a" | "b" | "undecided"
+    history: list[tuple[float, PeakPair, CandidatePair]] = field(default_factory=list)
+    score_a: float = 0.0
+    score_b: float = 0.0
+
+    def solution(self, branch: str) -> Solution:
+        cand = self.history[-1][2]
+        return cand.sol_a if branch == "a" else cand.sol_b
+
+    def best_branch(self) -> str:
+        if self.chosen != "undecided":
+            return self.chosen
+        return "a" if self.score_a <= self.score_b else "b"
+
+    def best_solution(self) -> Solution:
+        return self.solution(self.best_branch())
+
+
+def _predicted_pair(cfg: OfdmConfig, sol: Solution, dt: float) -> tuple[float, float]:
+    return tone_pair_bins(cfg, sol.range_m + sol.velocity_mps * dt, sol.velocity_mps)
+
+
+def _start_track(track_id: int, t: float, pair: PeakPair,
+                 cand: CandidatePair) -> Hypothesis:
+    track = Hypothesis(track_id=track_id, history=[(t, pair, cand)])
+    # A non-positive range cannot be a physical target; kill that branch now.
+    if cand.sol_a.range_m <= 0.0:
+        track.score_a = math.inf
+    if cand.sol_b.range_m <= 0.0:
+        track.score_b = math.inf
+    return track
+
+
+def resolve_ambiguity(cfg: OfdmConfig, tracks: list[Hypothesis],
+                      frame: tuple[float, list[PeakPair]]) -> list[Hypothesis]:
+    """Advance all tracks with one frame of observed peak pairs.
+
+    Every finite branch of every track scores the nearest observed pair;
+    the track's history follows its best branch when that branch's pair is
+    within the association gate. Pairs claimed by no track open new tracks.
+    Returns the updated track list (input list is mutated in place).
+    """
+    t, pairs = frame
+    for track in tracks:
+        if track.history and t <= track.history[-1][0]:
+            raise ValueError("frame times must be strictly increasing")
+
+    claimed: set[int] = set()
+    cands = [candidates(cfg, pair) for pair in pairs]
+    l1 = np.array([p.l1 for p in pairs], dtype=float)
+    l2 = np.array([p.l2 for p in pairs], dtype=float)
+    for track in tracks:
+        if not pairs:
+            break
+        last_t = track.history[-1][0]
+        dt = t - last_t
+        assoc: dict[str, tuple[float, int]] = {}
+        for branch, score in (("a", track.score_a), ("b", track.score_b)):
+            if math.isinf(score):
+                continue
+            pred = _predicted_pair(cfg, track.solution(branch), dt)
+            # L1 bin distance to every pair; argmin keeps the first nearest.
+            dists = np.abs(pred[0] - l1) + np.abs(pred[1] - l2)
+            idx = int(dists.argmin())
+            dist = float(dists[idx])
+            assoc[branch] = (dist, idx)
+            if branch == "a":
+                track.score_a += dist
+            else:
+                track.score_b += dist
+        if not assoc:
+            continue
+        # The best branch is finite whenever any branch is, so it is in assoc.
+        dist, idx = assoc[track.best_branch()]
+        if dist <= NEW_TRACK_GATE_BINS:
+            track.history.append((t, pairs[idx], cands[idx]))
+            claimed.add(idx)
+        if (len(track.history) >= _FRAMES_TO_DECIDE
+                and abs(track.score_a - track.score_b) > DECISION_MARGIN_BINS):
+            track.chosen = "a" if track.score_a < track.score_b else "b"
+
+    next_id = max((tr.track_id for tr in tracks), default=-1) + 1
+    for idx, pair in enumerate(pairs):
+        if idx not in claimed:
+            tracks.append(_start_track(next_id, t, pair, cands[idx]))
+            next_id += 1
+    return tracks
+
+
+def pair_owners(t: float, pairs: list[PeakPair], tracks: list[Hypothesis]) -> list[int]:
+    """Track id reported for each pair of frame t: of the tracks whose latest
+    entry is that pair object, the last one in the list."""
+    by_pair = {id(tr.history[-1][1]): tr for tr in tracks
+               if tr.history[-1][0] == t}
+    return [by_pair[id(pair)].track_id for pair in pairs]

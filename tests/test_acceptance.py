@@ -25,7 +25,7 @@ from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
 from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
-from jcas.tracking import resolve_ambiguity
+from jcas.tracking import TrackTable, resolve_ambiguity
 from jcas.transforms import fast_dft, naive_dft, naive_idft
 from oracles import brute_2d, brute_dft, power_ratio_db
 
@@ -243,7 +243,7 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
 
 def test_criterion_8_multi_frame_ambiguity_resolution():
     with _criterion(8, "two-frame tracking resolves the range-velocity swap"):
-        tracks = []
+        tracks = TrackTable()
         frames = {}
         for fidx, t in enumerate((0.0, 0.2)):
             _, _, pairs, _ = _scene_frame("fig4", t, fidx, WindowKind.HAMMING)

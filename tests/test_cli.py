@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jcas.diag_estimator
-from jcas.cli import fmt, main, write_image_csv, write_rdmap_csv
+from jcas.cli import build_parser, fmt, main, write_image_csv, write_rdmap_csv
 from jcas.diag_estimator import RadarImage
 from jcas.grid_estimator import RangeDopplerMap
 
@@ -94,6 +94,29 @@ def test_simulate_deterministic_outputs(tmp_path):
               "--seed", "7", "--out", str(out)])
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_parser_built_once_leaks_no_option_between_calls(tmp_path):
+    # The parser is cached; each call must still see only its own options.
+    noisy = ["--window", "hamming", "--seed", "3", "--snr-db", "20"]
+    argvs = {"noisy": noisy, "default": []}
+    for name, extra in argvs.items():
+        assert main(["simulate", "--scene", "fig5", *extra,
+                     "--out", str(tmp_path / "warm" / name)]) == 0
+    assert build_parser() is build_parser()
+    for name, extra in reversed(argvs.items()):
+        build_parser.cache_clear()
+        assert main(["simulate", "--scene", "fig5", *extra,
+                     "--out", str(tmp_path / "fresh" / name)]) == 0
+    for name in argvs:
+        warm, fresh = tmp_path / "warm" / name, tmp_path / "fresh" / name
+        files = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in warm.iterdir()) == files
+        for f in files:
+            assert (warm / f).read_bytes() == (fresh / f).read_bytes(), (name, f)
+    warm = tmp_path / "warm"
+    assert ((warm / "noisy" / "detections.csv").read_bytes()
+            != (warm / "default" / "detections.csv").read_bytes())
 
 
 def test_simulate_adaptive_writes_both_images(tmp_path):

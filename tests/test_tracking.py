@@ -1,10 +1,24 @@
+import gc
 import math
+import weakref
 
+import numpy as np
 import pytest
 
-from jcas.config import tone_pair_bins
+import oracles
+from jcas.config import OfdmConfig, tone_pair_bins
 from jcas.diag_estimator import PeakPair
-from jcas.tracking import Hypothesis, resolve_ambiguity
+from jcas.tracking import (DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS, TrackTable,
+                           resolve_ambiguity)
+
+# Every bin map of this configuration is the identity (one bin per metre and
+# per m/s) and every factor is a power of two, so predictions on integer bins
+# at quarter-second steps are exact: distances land exactly on the gate and
+# score differences exactly on the decision margin.
+DYADIC = OfdmConfig(carrier_freq=0.25, subcarrier_spacing=0.5, n_subcarriers=8,
+                    n_symbols=8, n_sensing_freq=8, n_sensing_time=8, n_diag=8,
+                    block_duration=1.0, symbol_duration_physical=1.0,
+                    speed_of_light=8.0)
 
 
 def _pair_for(cfg, r, v, mag=0.0):
@@ -13,7 +27,7 @@ def _pair_for(cfg, r, v, mag=0.0):
 
 
 def test_single_frame_stays_undecided(table1):
-    tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 39.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 39.0, 5.0)]))
     assert len(tracks) == 1
     assert tracks[0].chosen == "undecided"
     assert len(tracks[0].history) == 1
@@ -21,7 +35,7 @@ def test_single_frame_stays_undecided(table1):
 
 def test_two_frames_resolve_receding_car(table1):
     # truth (40 m, 5 m/s); the phantom reading is near (10 m, 20 m/s)
-    tracks: list[Hypothesis] = []
+    tracks = TrackTable()
     for t in (0.0, 0.2):
         pair = _pair_for(table1, 40.0 + 5.0 * t, 5.0)
         tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
@@ -36,7 +50,7 @@ def test_two_frames_resolve_receding_car(table1):
 def test_two_frames_resolve_fast_near_car(table1):
     # truth (6 m, 20 m/s): the doppler bin exceeds the range bin, so the
     # true reading is the swapped branch
-    tracks: list[Hypothesis] = []
+    tracks = TrackTable()
     for t in (0.0, 0.2):
         pair = _pair_for(table1, 6.0 + 20.0 * t, 20.0)
         tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
@@ -47,7 +61,7 @@ def test_two_frames_resolve_fast_near_car(table1):
 
 
 def test_two_tracks_resolve_in_parallel(table1):
-    tracks: list[Hypothesis] = []
+    tracks = TrackTable()
     for fidx, t in enumerate((0.0, 0.2)):
         pairs = [_pair_for(table1, 6.0 + 20.0 * t, 20.0, mag=0.0),
                  _pair_for(table1, 39.0 + 5.0 * t, 5.0, mag=-32.5)]
@@ -62,8 +76,8 @@ def test_two_tracks_resolve_in_parallel(table1):
 def test_stationary_target_discards_zero_range_branch(table1):
     pair = _pair_for(table1, 30.0, 0.0)
     assert pair.l1 == pair.l2
-    tracks = resolve_ambiguity(table1, [], (0.0, [pair]))
-    assert math.isinf(tracks[0].score_b)
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [pair]))
+    assert math.isinf(tracks[0].scores[1])
     assert tracks[0].chosen == "undecided"
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert tracks[0].chosen == "a"
@@ -71,7 +85,7 @@ def test_stationary_target_discards_zero_range_branch(table1):
 
 
 def test_unassociated_pair_opens_new_track(table1):
-    tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     far = _pair_for(table1, 150.0, 2.0)
     tracks = resolve_ambiguity(table1, tracks, (0.2, [far]))
     assert len(tracks) == 2
@@ -79,13 +93,13 @@ def test_unassociated_pair_opens_new_track(table1):
 
 
 def test_non_increasing_time_rejected(table1):
-    tracks = resolve_ambiguity(table1, [], (0.5, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.5, [_pair_for(table1, 40.0, 5.0)]))
     with pytest.raises(ValueError, match="strictly increasing"):
         resolve_ambiguity(table1, tracks, (0.5, [_pair_for(table1, 40.0, 5.0)]))
 
 
 def test_empty_frame_keeps_tracks(table1):
-    tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, []))
     assert len(tracks) == 1
     assert len(tracks[0].history) == 1
@@ -93,13 +107,129 @@ def test_empty_frame_keeps_tracks(table1):
 
 def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
     # Two identical pairs: the first claims the track, the second opens one.
-    tracks = resolve_ambiguity(table1, [], (0.0, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     twin = [_pair_for(table1, 41.0, 5.0), _pair_for(table1, 41.0, 5.0)]
     sol_a = tracks[0].solution("a")
     pred_a = tone_pair_bins(table1, sol_a.range_m + sol_a.velocity_mps * 0.2,
                             sol_a.velocity_mps)
     expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
     tracks = resolve_ambiguity(table1, tracks, (0.2, twin))
-    assert tracks[0].score_a == expected
+    assert tracks[0].scores[0] == expected
     assert tracks[0].history[-1][1] is twin[0]
     assert tracks[1].history[0][1] is twin[1]
+
+
+def test_last_claiming_track_owns_a_shared_pair(table1):
+    first = _pair_for(table1, 40.0, 5.0)
+    twin = PeakPair(first.l1, first.l2, first.magnitude_db)
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [first, twin]))
+    assert [tr.track_id for tr in tracks.owner] == [0, 1]
+    pair = _pair_for(table1, 41.0, 5.0)
+    tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
+    assert len(tracks) == 2
+    assert tracks[0].history[-1][1] is pair and tracks[1].history[-1][1] is pair
+    assert tracks.owner == [tracks[1]]
+
+
+def test_unclaimed_pair_opens_a_track_that_owns_it(table1):
+    near = _pair_for(table1, 41.0, 5.0)
+    far = _pair_for(table1, 150.0, 2.0)
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, tracks, (0.2, [far, near]))
+    assert tracks.owner == [tracks[1], tracks[0]]
+    assert tracks[1].history == [(0.2, far, tracks[1].history[0][2])]
+    tracks = resolve_ambiguity(table1, tracks, (0.4, []))
+    assert tracks.owner == []
+
+
+def test_iterating_the_table_yields_the_same_objects(table1):
+    tracks = TrackTable()
+    for t in (0.0, 0.2):
+        pairs = [_pair_for(table1, 40.0 + 5.0 * t, 5.0), _pair_for(table1, 150.0, 2.0)]
+        tracks = resolve_ambiguity(table1, tracks, (t, pairs))
+    first, second = list(tracks), list(tracks)
+    assert len(first) == 2
+    assert all(a is b for a, b in zip(first, second))
+    assert [tr.track_id for tr in first] == [0, 1]
+
+
+def _random_frames(cfg, rng, n_frames):
+    """Pairs of a few moving targets, noise, duplicates and coincident pairs,
+    at uneven time steps, with some frames empty."""
+    targets = [(float(rng.integers(5, 60)), float(rng.integers(-6, 7)))
+               for _ in range(3)]
+    t = 0.0
+    for _ in range(n_frames):
+        t += float(rng.choice([0.25, 0.5, 0.75, 1.0, 2.0]))
+        pairs = []
+        if rng.random() >= 0.15:
+            for r0, v in targets:
+                if rng.random() < 0.8:
+                    lo, hi = sorted(map(round, tone_pair_bins(cfg, r0 + v * t, v)))
+                    pairs.append(PeakPair(lo, hi, 0.0))
+            for _ in range(int(rng.integers(0, 3))):
+                l1 = int(rng.integers(0, 40))
+                pairs.append(PeakPair(l1, l1 + int(rng.integers(0, 20)), -10.0))
+            if rng.random() < 0.3:
+                l = int(rng.integers(0, 40))
+                pairs.append(PeakPair(l, l, -5.0))
+            if pairs and rng.random() < 0.3:
+                dup = pairs[int(rng.integers(len(pairs)))]
+                pairs.append(PeakPair(dup.l1, dup.l2, dup.magnitude_db))
+            rng.shuffle(pairs)
+        yield t, pairs
+
+
+def _nearest_at_gate(cfg, tracks, t, pairs):
+    """Reference branches whose nearest pair lies exactly at the gate."""
+    count = 0
+    for tr in tracks:
+        for branch, score in (("a", tr.score_a), ("b", tr.score_b)):
+            if pairs and not math.isinf(score):
+                lo, hi = oracles._predicted_pair(cfg, tr.solution(branch),
+                                                 t - tr.history[-1][0])
+                count += min(abs(lo - p.l1) + abs(hi - p.l2)
+                             for p in pairs) == NEW_TRACK_GATE_BINS
+    return count
+
+
+@pytest.mark.parametrize("cfg", [DYADIC, OfdmConfig.table1()], ids=["dyadic", "table1"])
+def test_table_matches_the_per_track_loop(cfg):
+    at_gate = at_margin = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        table, reference = TrackTable(), []
+        for t, pairs in _random_frames(cfg, rng, 25):
+            at_gate += _nearest_at_gate(cfg, reference, t, pairs)
+            table = resolve_ambiguity(cfg, table, (t, pairs))
+            reference = oracles.resolve_ambiguity(cfg, reference, (t, pairs))
+            assert len(table) == len(reference)
+            for got, want in zip(table, reference):
+                assert got.track_id == want.track_id
+                assert got.scores == (want.score_a, want.score_b)
+                assert got.chosen == want.chosen
+                assert len(got.history) == len(want.history)
+                assert got.history[-1][1] is want.history[-1][1]
+                assert got.best_solution() == want.best_solution()
+                at_margin += (len(want.history) >= 2 and
+                              abs(want.score_a - want.score_b) == DECISION_MARGIN_BINS)
+            assert ([tr.track_id for tr in table.owner]
+                    == oracles.pair_owners(t, pairs, reference))
+    if cfg is DYADIC:
+        assert at_gate and at_margin
+
+
+def test_finished_table_is_freed_without_garbage_collection(table1):
+    # Tracks read their rows through a holder, not the table, so a run's
+    # table goes as soon as the last reference to it does.
+    gc.disable()
+    try:
+        tracks = TrackTable()
+        for t in (0.0, 0.2):
+            tracks = resolve_ambiguity(table1, tracks, (t, [_pair_for(table1, 40.0, 5.0)]))
+        assert len(tracks) == 1
+        freed = weakref.ref(tracks)
+        del tracks
+        assert freed() is None
+    finally:
+        gc.enable()
