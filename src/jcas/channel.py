@@ -38,16 +38,16 @@ class DiagonalModel(Enum):
 class NoiseSpec:
     """Additive complex white Gaussian noise level.
 
-    snr_db is measured against the strongest target's per-sample amplitude;
-    None disables noise entirely.
+    snr_db is measured against the strongest target's per-sample amplitude.
+    A noiseless run passes no NoiseSpec at all (noise=None).
     """
 
-    snr_db: float | None = None
+    snr_db: float
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite when present")
+        if not np.isfinite(self.snr_db):
+            raise ValueError("snr_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,11 @@ def add_awgn(values: np.ndarray, noise: NoiseSpec | None,
     """Add circular complex Gaussian noise at the configured SNR.
 
     Per-sample noise variance satisfies reference_amplitude^2 / variance =
-    10^(snr_db/10). Absent spec or absent snr_db is the identity. Output is
+    10^(snr_db/10). An absent spec is the identity. Output is
     deterministic under the spec's rng_seed.
     """
     values = np.asarray(values, dtype=complex)
-    if noise is None or noise.snr_db is None:
+    if noise is None:
         return values
     variance = reference_amplitude ** 2 / 10.0 ** (noise.snr_db / 10.0)
     rng = np.random.default_rng(noise.rng_seed)

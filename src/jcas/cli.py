@@ -106,13 +106,15 @@ def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
     check_unambiguous_range(scene, cfg)
+    run_diag = args.estimator in ("diag", "both")
+    run_grid = args.estimator in ("grid2d", "both")
+    if run_diag:
+        cfg.validate_diagonal()
     noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = DiagonalModel(args.model)
     windows = WINDOW_MODES[args.window]
-    run_diag = args.estimator in ("diag", "both")
-    run_grid = args.estimator in ("grid2d", "both")
     tracks = TrackTable()
     det_rows: list[str] = []
     grid_rows: list[str] = []

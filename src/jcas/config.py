@@ -15,7 +15,7 @@ SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """OFDM block geometry and RF constants.
+    """OFDM block geometry and RF constants; every other figure is derived.
 
     Attributes
     ----------
@@ -31,12 +31,6 @@ class OfdmConfig:
         Sensing subcarriers across the bandwidth (frequency comb size).
     n_sensing_time : int
         Sensing symbols across the block (time comb size).
-    n_diag : int
-        Sensing signals on the block diagonal.
-    block_duration : float
-        Block duration [s]; bookkeeping only.
-    symbol_duration_physical : float
-        Per-symbol duration including cyclic prefix [s]; bookkeeping only.
     speed_of_light : float
         Propagation speed [m/s].
     """
@@ -47,33 +41,28 @@ class OfdmConfig:
     n_symbols: int
     n_sensing_freq: int
     n_sensing_time: int
-    n_diag: int
-    block_duration: float
-    symbol_duration_physical: float
     speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        for name in ("carrier_freq", "subcarrier_spacing", "block_duration",
-                     "symbol_duration_physical", "speed_of_light"):
+        for name in ("carrier_freq", "subcarrier_spacing", "speed_of_light"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("n_subcarriers", "n_symbols", "n_sensing_freq",
-                     "n_sensing_time", "n_diag"):
+        for name in ("n_subcarriers", "n_symbols", "n_sensing_freq", "n_sensing_time"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.n_subcarriers % self.n_sensing_freq:
-            raise ValueError(
-                f"frequency comb spacing {self.n_subcarriers}/{self.n_sensing_freq} "
-                "is not an integer")
-        if self.n_symbols % self.n_sensing_time:
-            raise ValueError(
-                f"time comb spacing {self.n_symbols}/{self.n_sensing_time} "
-                "is not an integer")
+        for axis, total, comb in (("frequency", self.n_subcarriers, self.n_sensing_freq),
+                                  ("time", self.n_symbols, self.n_sensing_time)):
+            if total % comb:
+                raise ValueError(f"{axis} comb spacing {total}/{comb} is not an integer")
 
     @classmethod
     def table1(cls) -> "OfdmConfig":
-        """28 GHz / 400 MHz traffic-monitoring configuration used throughout."""
+        """28 GHz / 400 MHz configuration: a 30 ms block of 8.92 us symbols.
+
+        The 8.92 us include the cyclic prefix; only the useful symbol duration
+        1/subcarrier_spacing enters any phase or estimation arithmetic.
+        """
         return cls(
             carrier_freq=28e9,
             subcarrier_spacing=120e3,
@@ -81,9 +70,6 @@ class OfdmConfig:
             n_symbols=3360,
             n_sensing_freq=480,
             n_sensing_time=480,
-            n_diag=480,
-            block_duration=30e-3,
-            symbol_duration_physical=8.92e-6,
         )
 
     @property
@@ -93,11 +79,7 @@ class OfdmConfig:
 
     @property
     def useful_symbol_duration(self) -> float:
-        """Cyclic-prefix-free symbol duration [s] = 1/subcarrier spacing.
-
-        This, not the physical duration, enters all phase and estimation
-        arithmetic.
-        """
+        """Cyclic-prefix-free symbol duration [s] = 1/subcarrier spacing."""
         return 1.0 / self.subcarrier_spacing
 
     @property
@@ -111,15 +93,19 @@ class OfdmConfig:
         return self.n_symbols // self.n_sensing_time
 
     @property
+    def n_diag(self) -> int:
+        """Sensing signals on the block diagonal: one per comb step."""
+        return self.n_sensing_freq
+
+    @property
     def wavelength(self) -> float:
         return self.speed_of_light / self.carrier_freq
 
     def validate_diagonal(self) -> None:
         """Diagonal allocation needs equal comb sizes on both axes."""
-        if not (self.n_diag == self.n_sensing_freq == self.n_sensing_time):
-            raise ValueError(
-                "diagonal scheme requires n_diag == n_sensing_freq == n_sensing_time, "
-                f"got {self.n_diag}/{self.n_sensing_freq}/{self.n_sensing_time}")
+        if self.n_sensing_freq != self.n_sensing_time:
+            raise ValueError("diagonal scheme requires n_sensing_freq == n_sensing_time, "
+                             f"got {self.n_sensing_freq}/{self.n_sensing_time}")
 
 
 @dataclass(frozen=True)

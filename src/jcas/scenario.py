@@ -59,10 +59,10 @@ class Scene:
     def __post_init__(self) -> None:
         if not 0 < self.frame_interval_s < math.inf:
             raise ValueError("frame_interval_s must be positive and finite")
-        if not all(0 <= t < math.inf for t in self.measurement_times_s):
-            raise ValueError("measurement_times_s must be finite and >= 0")
-        if any(b <= a for a, b in zip(self.measurement_times_s,
-                                      self.measurement_times_s[1:])):
+        times = self.measurement_times_s
+        if not times or not all(0 <= t < math.inf for t in times):
+            raise ValueError("measurement_times_s must be one or more finite times >= 0")
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("measurement_times_s must be strictly increasing")
 
 
@@ -154,6 +154,13 @@ def _parse_value(text: str):
     return int(f) if f.is_integer() and "." not in text and "e" not in text.lower() else f
 
 
+def _number(key: str, value) -> float:
+    """A scene number as a float; a list where a number belongs is refused."""
+    if isinstance(value, tuple):
+        raise ValueError(f"{key} must be a number, got a list")
+    return float(value)
+
+
 def _parse_sections(text: str) -> list[tuple[str, dict]]:
     sections: list[tuple[str, dict]] = []
     current: dict | None = None
@@ -182,13 +189,13 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
     if "rcs_dbsm" in entry:
         if "rcs_m2" in entry:
             raise ValueError("give rcs_m2 or rcs_dbsm, not both")
-        entry["rcs_m2"] = 10.0 ** (float(entry.pop("rcs_dbsm")) / 10.0)
+        entry["rcs_m2"] = 10.0 ** (_number("rcs_dbsm", entry.pop("rcs_dbsm")) / 10.0)
     try:
         spec = VehicleSpec(
             name=str(entry.pop("name")),
-            initial_range_m=float(entry.pop("initial_range_m")),
-            relative_speed_mps=float(entry.pop("relative_speed_mps")),
-            rcs_m2=float(entry.pop("rcs_m2")),
+            initial_range_m=_number("initial_range_m", entry.pop("initial_range_m")),
+            relative_speed_mps=_number("relative_speed_mps", entry.pop("relative_speed_mps")),
+            rcs_m2=_number("rcs_m2", entry.pop("rcs_m2")),
             lane=str(entry.pop("lane")) if "lane" in entry else None,
         )
     except KeyError as exc:
@@ -223,8 +230,8 @@ def load_scene(path: str | Path) -> SceneFile:
         times = (times,)
     scene = Scene(
         vehicles=tuple(vehicles),
-        frame_interval_s=float(scene_kw.pop("frame_interval_s", 0.030)),
-        measurement_times_s=tuple(float(t) for t in times),
+        frame_interval_s=_number("frame_interval_s", scene_kw.pop("frame_interval_s", 0.030)),
+        measurement_times_s=tuple(_number("measurement_times_s", t) for t in times),
     )
     if scene_kw:
         raise ValueError(f"unknown scene keys: {sorted(scene_kw)}")

@@ -66,21 +66,25 @@ def fast_idft(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(np.asarray(x, dtype=complex), axis=axis)
 
 
+def _transform(naive, fast, x: np.ndarray, axis: int, method: str,
+               counter: MultiplyCounter | None) -> np.ndarray:
+    if method == "naive":
+        return naive(x, axis=axis, counter=counter)
+    if method != "fast":
+        raise ValueError(f"unknown transform method: {method!r}")
+    if counter is not None:
+        raise ValueError("only method='naive' counts multiplies; "
+                         "a counter on the FFT path would read zero")
+    return fast(x, axis=axis)
+
+
 def dft(x: np.ndarray, axis: int = -1, method: str = "fast",
         counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Forward DFT along one axis. method: 'naive' or 'fast'."""
-    if method == "naive":
-        return naive_dft(x, axis=axis, counter=counter)
-    if method == "fast":
-        return fast_dft(x, axis=axis)
-    raise ValueError(f"unknown transform method: {method!r}")
+    """Forward DFT along one axis. method: 'naive' or 'fast'; only 'naive' counts."""
+    return _transform(naive_dft, fast_dft, x, axis, method, counter)
 
 
 def idft(x: np.ndarray, axis: int = -1, method: str = "fast",
          counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Inverse DFT (1/n scale) along one axis. method: 'naive' or 'fast'."""
-    if method == "naive":
-        return naive_idft(x, axis=axis, counter=counter)
-    if method == "fast":
-        return fast_idft(x, axis=axis)
-    raise ValueError(f"unknown transform method: {method!r}")
+    """Inverse DFT (1/n scale) along one axis; methods as for dft."""
+    return _transform(naive_idft, fast_idft, x, axis, method, counter)

@@ -25,9 +25,6 @@ def small_cfg() -> OfdmConfig:
         n_symbols=336,
         n_sensing_freq=48,
         n_sensing_time=48,
-        n_diag=48,
-        block_duration=3e-3,
-        symbol_duration_physical=8.92e-6,
     )
 
 

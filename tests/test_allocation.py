@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from jcas.allocation import Allocation, AllocationKind, build_allocation, overhead
+from jcas.allocation import AllocationKind, build_allocation, overhead
 from jcas.config import OfdmConfig
 
 
@@ -45,14 +45,8 @@ def test_overhead_table1(table1):
 def test_dense_allocation_overhead_is_one():
     cfg = OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
                      n_subcarriers=48, n_symbols=48,
-                     n_sensing_freq=48, n_sensing_time=48, n_diag=48,
-                     block_duration=30e-3, symbol_duration_physical=8.92e-6)
+                     n_sensing_freq=48, n_sensing_time=48)
     assert overhead(build_allocation(cfg, AllocationKind.GRID)) == 1.0
-
-
-def test_empty_allocation_overhead(table1):
-    empty = Allocation(kind=AllocationKind.GRID, entries=(), cfg=table1)
-    assert overhead(empty) == 0.0
 
 
 def test_allocation_immutable(table1):

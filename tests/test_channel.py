@@ -165,7 +165,9 @@ class TestNoise:
     def test_absent_spec_is_identity(self):
         x = np.arange(10, dtype=complex)
         assert np.array_equal(add_awgn(x, None), x)
-        assert np.array_equal(add_awgn(x, NoiseSpec()), x)
+        # None is the one spelling of "no noise": a spec must carry an SNR.
+        with pytest.raises(TypeError):
+            NoiseSpec()
 
     def test_deterministic_under_seed(self):
         x = np.zeros(100, dtype=complex)

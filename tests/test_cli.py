@@ -226,15 +226,45 @@ def test_scene_subcarrier_spacing_sets_geometry(tmp_path, capsys):
     assert dets[0][0] == "0" and dets[0][4:] == ["20.0893", "4.97449"]
 
 
-def test_simulate_refuses_useful_symbol_duration_key_before_output(tmp_path, capsys):
-    # The useful symbol duration is 1/subcarrier_spacing, not a setting.
+@pytest.mark.parametrize("key, value", [
+    ("useful_symbol_duration", "8.92e-6"),   # 1/subcarrier_spacing
+    ("n_diag", "480"),                       # the comb size
+    ("block_duration", "30e-3"),             # read by no arithmetic
+    ("symbol_duration_physical", "8.92e-6"),
+], ids=["useful_symbol_duration", "n_diag", "block_duration", "symbol_duration_physical"])
+def test_simulate_refuses_non_field_ofdm_key_before_output(tmp_path, capsys, key, value):
     out = tmp_path / "run"
-    scene = tmp_path / "tu.cfg"
+    scene = tmp_path / "key.cfg"
     scene.write_text(SPACING_60K_SCENE.replace(
-        "subcarrier_spacing = 60000.0", "useful_symbol_duration = 8.92e-6"))
+        "subcarrier_spacing = 60000.0", f"{key} = {value}"))
     assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
-    assert "useful_symbol_duration" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_half_comb_derives_diagonal_length(tmp_path):
+    # Halving both combs halves the diagonal with them; no n_diag to keep
+    # in step by hand.
+    out = tmp_path / "run"
+    scene = tmp_path / "half.cfg"
+    scene.write_text(ONE_CAR_SCENE + "[ofdm]\nn_sensing_freq = 240\nn_sensing_time = 240\n")
+    assert main(["simulate", "--scene", str(scene), "--estimator", "both",
+                 "--out", str(out)]) == 0
+    _, tracks = _read_csv(out / "tracks.csv")
+    assert len(tracks) == 1
+    assert tracks[0][4:] == ["a", "40.9226", "4.97449"]
+    assert len((out / "image_0.csv").read_text().splitlines()) == 1 + 121
+
+
+@pytest.mark.parametrize("estimator", ["diag", "both"])
+def test_simulate_refuses_non_square_comb_before_output(tmp_path, capsys, estimator):
+    out = tmp_path / "deep" / "run"
+    scene = tmp_path / "oblong.cfg"
+    scene.write_text(ONE_CAR_SCENE + "[ofdm]\nn_sensing_freq = 240\n")
+    assert main(["simulate", "--scene", str(scene), "--estimator", estimator,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: diagonal scheme requires")
+    assert not (tmp_path / "deep").exists()
 
 
 def test_simulate_single_tone_model(tmp_path):
@@ -387,6 +417,26 @@ def test_non_finite_scene_numbers_refused_before_output(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "capabilities"])
+@pytest.mark.parametrize("old, new", [
+    ("measurement_times_s = [0.0, 0.2]", "measurement_times_s = [0.0, [0.1]]"),
+    ("initial_range_m = 40.0", "initial_range_m = [10, 2]"),
+    ("measurement_times_s = [0.0, 0.2]", "measurement_times_s = []"),
+], ids=["time-list", "range-list", "no-times"])
+def test_malformed_scene_numbers_refused_before_output(tmp_path, capsys, command,
+                                                       old, new):
+    # float() of a list raises TypeError, which main does not catch, and an
+    # empty time list would run and write CSVs that hold only headers.
+    scene = tmp_path / "bad.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace(old, new))
+    out = tmp_path / "run"
+    argv = ["--scene", str(scene)] + (["--out", str(out)] if command == "simulate" else [])
+    assert main([command, *argv]) == 1
+    key = new.split(" =")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key} must")
+    assert not out.exists()
+
+
 def test_simulate_refuses_non_finite_snr_before_output(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--scene", "fig4", "--snr-db", "nan", "--out", str(out)]) == 1
@@ -424,7 +474,6 @@ rcs_m2 = 1.0
 [ofdm]
 n_sensing_freq = 3360
 n_sensing_time = 3360
-n_diag = 3360
 """)
     assert main(["capabilities", "--scene", str(scene)]) == 0
     out = capsys.readouterr().out

@@ -39,9 +39,8 @@ def test_doubling_freq_comb_doubles_unambiguous_range():
     base = OfdmConfig(
         carrier_freq=28e9, subcarrier_spacing=120e3,
         n_subcarriers=3360, n_symbols=3360,
-        n_sensing_freq=240, n_sensing_time=480, n_diag=240,
-        block_duration=30e-3, symbol_duration_physical=8.92e-6)
-    doubled = dataclasses.replace(base, n_sensing_freq=480, n_diag=480)
+        n_sensing_freq=240, n_sensing_time=480)
+    doubled = dataclasses.replace(base, n_sensing_freq=480)
     c0, c1 = capabilities(base), capabilities(doubled)
     assert c1.max_unambiguous_range == pytest.approx(2 * c0.max_unambiguous_range)
     assert c1.range_resolution == c0.range_resolution
@@ -57,8 +56,7 @@ def test_non_integral_comb_spacing_rejected():
     with pytest.raises(ValueError, match="comb spacing"):
         OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
                    n_subcarriers=3360, n_symbols=3360,
-                   n_sensing_freq=481, n_sensing_time=480, n_diag=480,
-                   block_duration=30e-3, symbol_duration_physical=8.92e-6)
+                   n_sensing_freq=481, n_sensing_time=480)
 
 
 def test_useful_symbol_duration_follows_spacing(table1):
@@ -67,11 +65,21 @@ def test_useful_symbol_duration_follows_spacing(table1):
     assert table1.useful_symbol_duration == 1.0 / 120e3
 
 
+def test_fields_are_the_independent_values(table1):
+    # n_diag is the comb size and no duration enters any arithmetic, so
+    # none of them is a field.
+    assert [f.name for f in dataclasses.fields(OfdmConfig)] == [
+        "carrier_freq", "subcarrier_spacing", "n_subcarriers", "n_symbols",
+        "n_sensing_freq", "n_sensing_time", "speed_of_light"]
+    assert isinstance(OfdmConfig.n_diag, property)
+    assert table1.n_diag == 480
+    assert dataclasses.replace(table1, n_sensing_freq=240, n_sensing_time=240).n_diag == 240
+
+
 def test_diagonal_validation():
     cfg = OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
                      n_subcarriers=3360, n_symbols=3360,
-                     n_sensing_freq=480, n_sensing_time=240, n_diag=480,
-                     block_duration=30e-3, symbol_duration_physical=8.92e-6)
+                     n_sensing_freq=480, n_sensing_time=240)
     with pytest.raises(ValueError, match="diagonal"):
         cfg.validate_diagonal()
 

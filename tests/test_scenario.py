@@ -100,7 +100,6 @@ def test_load_scene_with_ofdm_override(tmp_path):
 [ofdm]
 n_sensing_freq = 3360
 n_sensing_time = 3360
-n_diag = 3360
 """)
     sf = load_scene(path)
     assert sf.ofdm is not None
@@ -113,6 +112,10 @@ n_diag = 3360
     ("rcs_dbsm = 5.0", "rcs_dbsm = 5.0\nrcs_m2 = 1.0"),  # both rcs keys
     ("[[vehicle]]", "[[car]]"),                     # unknown section
     ("initial_range_m = 25.0", "initial_range_m"),  # no assignment
+    ("[0.0, 0.2]", "[0.0, [0.1]]"),                 # list where a number belongs
+    ("initial_range_m = 25.0", "initial_range_m = [10, 2]"),
+    ("frame_interval_s = 0.030", "frame_interval_s = [0.03]"),
+    ("[0.0, 0.2]", "[]"),                           # no measurement time
 ])
 def test_malformed_scene_files(tmp_path, mutation):
     old, new = mutation

@@ -16,8 +16,7 @@ from jcas.tracking import (DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS, TrackTable
 # at quarter-second steps are exact: distances land exactly on the gate and
 # score differences exactly on the decision margin.
 DYADIC = OfdmConfig(carrier_freq=0.25, subcarrier_spacing=0.5, n_subcarriers=8,
-                    n_symbols=8, n_sensing_freq=8, n_sensing_time=8, n_diag=8,
-                    block_duration=1.0, symbol_duration_physical=1.0,
+                    n_symbols=8, n_sensing_freq=8, n_sensing_time=8,
                     speed_of_light=8.0)
 
 

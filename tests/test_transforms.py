@@ -91,3 +91,12 @@ def test_roundtrip_inverse(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert _rel_err(naive_idft(naive_dft(x)), x) < 1e-9
+
+
+@pytest.mark.parametrize("transform", [dft, idft])
+def test_counter_on_fast_path_refused(transform):
+    # The FFT path counts nothing, so a counter there would read zero.
+    counter = MultiplyCounter()
+    with pytest.raises(ValueError, match="naive"):
+        transform(np.ones(8, dtype=complex), method="fast", counter=counter)
+    assert counter.count == 0
