@@ -5,7 +5,7 @@ Subcommands::
     jcas simulate     --scene <name|file> [--window rect|hamming|adaptive]
                       [--model dual-tone|single-tone] [--estimator diag|grid2d|both]
                       [--snr-db F] [--seed N] [--out DIR]
-    jcas capabilities [--scene <file>] [--alloc-csv DIR]
+    jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
 All numeric output is written with 6 significant digits and '.' decimals;
@@ -38,8 +38,8 @@ GRID_THRESHOLD_DB = -30.0
 def fmt(x) -> str:
     """Fixed 6-significant-digit rendering shared by every numeric output.
 
-    "%d" and "%.6g" render ints and floats to the same text; the image and
-    rdmap writers use them to format many cells with one % operation.
+    "%d" and "%.6g" render ints and floats to the same text; the CSV writers
+    use them to format many cells with one % operation.
     """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -86,20 +86,20 @@ def write_rdmap_csv(path: Path, rd: RangeDopplerMap) -> None:
             f.write(template % tuple(args))
 
 
+# One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.
+_DETECTION_ROW = "%.6g,%s,%s,%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%s,%s,%.6g,%.6g"
+
+
 def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list[str]:
-    """One detections.csv row per pair of frame t, under the track that owns it."""
+    """One detections.csv row per pair of frame t, read from its owner's row."""
     rows = []
     for pair, track in zip(pairs, tracks.owner):
-        cand = track.history[-1][2]
-        best = track.best_solution()
-        rows.append(",".join([
-            fmt(t), str(pair.l1), str(pair.l2), fmt(pair.mean_bin),
-            str(pair.delta_bin),
-            fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
-            fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps),
-            fmt(pair.magnitude_db), str(track.track_id), track.chosen,
-            fmt(best.range_m), fmt(best.velocity_mps),
-        ]))
+        sol_a, sol_b, best = track.solution("a"), track.solution("b"), track.best_solution()
+        rows.append(_DETECTION_ROW % (
+            t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin,
+            sol_a.range_m, sol_a.velocity_mps, sol_b.range_m, sol_b.velocity_mps,
+            pair.magnitude_db, track.track_id, track.chosen,
+            best.range_m, best.velocity_mps))
     return rows
 
 
@@ -146,10 +146,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         track_rows = []
         for tr in tracks:
             best = tr.best_solution()
-            score_a, score_b = tr.scores
-            track_rows.append(",".join([
-                str(tr.track_id), str(len(tr.history)), fmt(score_a), fmt(score_b),
-                tr.chosen, fmt(best.range_m), fmt(best.velocity_mps)]))
+            track_rows.append("%s,%s,%.6g,%.6g,%s,%.6g,%.6g" % (
+                tr.track_id, tr.n_frames, *tr.scores, tr.chosen,
+                best.range_m, best.velocity_mps))
         _write_csv(out_dir / "tracks.csv",
                    "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)
     if run_grid:
@@ -159,30 +158,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_capabilities(args: argparse.Namespace) -> int:
-    cfg = OfdmConfig.table1()
-    if args.scene is not None:
-        sf = load_scene(args.scene)
-        if sf.ofdm is not None:
-            cfg = sf.ofdm
+    cfg = OfdmConfig.table1() if args.scene is None else _load_scene_arg(args.scene)[1]
     caps = capabilities(cfg)
     grid = build_allocation(cfg, AllocationKind.GRID)
-    diag = build_allocation(cfg, AllocationKind.DIAGONAL)
+    # A non-square comb has no diagonal; its grid figures still print.
+    diag = (build_allocation(cfg, AllocationKind.DIAGONAL)
+            if cfg.n_sensing_freq == cfg.n_sensing_time else None)
     lines = [
-        ("range resolution [m]", caps.range_resolution),
-        ("velocity resolution [m/s]", caps.velocity_resolution),
-        ("max unambiguous range [m]", caps.max_unambiguous_range),
-        ("max unambiguous velocity [m/s]", caps.max_unambiguous_velocity),
-        ("grid sensing overhead", overhead(grid)),
-        ("diagonal sensing overhead", overhead(diag)),
+        ("range resolution [m]", fmt(caps.range_resolution)),
+        ("velocity resolution [m/s]", fmt(caps.velocity_resolution)),
+        ("max unambiguous range [m]", fmt(caps.max_unambiguous_range)),
+        ("max unambiguous velocity [m/s]", fmt(caps.max_unambiguous_velocity)),
+        ("grid sensing overhead", fmt(overhead(grid))),
+        ("diagonal sensing overhead", "n/a" if diag is None else fmt(overhead(diag))),
     ]
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
-        print(f"{name:<{width}}  {fmt(value)}")
+        print(f"{name:<{width}}  {value}")
     if args.alloc_csv is not None:
         out = Path(args.alloc_csv)
         out.mkdir(parents=True, exist_ok=True)
-        for alloc, label in ((grid, "grid"), (diag, "diagonal")):
-            _write_csv(out / f"allocation_{label}.csv", "m,n",
+        for alloc in (grid,) if diag is None else (grid, diag):
+            _write_csv(out / f"allocation_{alloc.kind.value}.csv", "m,n",
                        [f"{m},{n}" for m, n in alloc.entries])
     return 0
 
@@ -228,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     cap = sub.add_parser("capabilities",
                          help="print resolution/ambiguity figures and overhead")
     cap.add_argument("--scene", default=None,
-                     help="scene file whose [ofdm] section overrides defaults")
+                     help="builtin scene name or scene file; a file's [ofdm] "
+                          "section overrides the defaults")
     cap.add_argument("--alloc-csv", default=None,
                      help="directory for allocation m,n CSV exports")
     cap.set_defaults(func=cmd_capabilities)

@@ -7,7 +7,6 @@ offset is metadata only; ranges evolve as initial_range + speed * t.
 Scene files are plain sectioned key-value text::
 
     [scene]
-    frame_interval_s = 0.030
     measurement_times_s = [0.0, 0.2, 0.6]
 
     [[vehicle]]
@@ -18,7 +17,8 @@ Scene files are plain sectioned key-value text::
     lane = "left"
 
 An optional [ofdm] section may override block-geometry fields (keys matching
-OfdmConfig constructor arguments).
+OfdmConfig constructor arguments). A [scene] frame_interval_s must be positive
+and finite, but nothing reads it: frame times are the measurement times.
 """
 
 from __future__ import annotations
@@ -53,12 +53,9 @@ class VehicleSpec:
 @dataclass(frozen=True)
 class Scene:
     vehicles: tuple[VehicleSpec, ...]
-    frame_interval_s: float = 0.030
     measurement_times_s: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
-        if not 0 < self.frame_interval_s < math.inf:
-            raise ValueError("frame_interval_s must be positive and finite")
         times = self.measurement_times_s
         if not times or not all(0 <= t < math.inf for t in times):
             raise ValueError("measurement_times_s must be one or more finite times >= 0")
@@ -225,12 +222,14 @@ def load_scene(path: str | Path) -> SceneFile:
             raise ValueError(f"unknown section [{name}]")
     if not vehicles:
         raise ValueError("scene file defines no [[vehicle]] blocks")
+    interval = scene_kw.pop("frame_interval_s", None)
+    if interval is not None and not 0 < _number("frame_interval_s", interval) < math.inf:
+        raise ValueError("frame_interval_s must be positive and finite")
     times = scene_kw.pop("measurement_times_s", (0.0,))
     if not isinstance(times, tuple):
         times = (times,)
     scene = Scene(
         vehicles=tuple(vehicles),
-        frame_interval_s=_number("frame_interval_s", scene_kw.pop("frame_interval_s", 0.030)),
         measurement_times_s=tuple(_number("measurement_times_s", t) for t in times),
     )
     if scene_kw:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .config import OfdmConfig, tone_pair_bins
-from .diag_estimator import CandidatePair, PeakPair, Solution, candidates
+from .diag_estimator import PeakPair, Solution, candidates
 
 # A branch whose prediction lands farther than this from every observed pair
 # leaves the pair unclaimed (it may then seed a new track).
@@ -28,17 +28,16 @@ NEW_TRACK_GATE_BINS = 8.0
 DECISION_MARGIN_BINS = 2.0
 _FRAMES_TO_DECIDE = 2
 
-# Columns of TrackTable's state matrix. The branch axis (a, b) holds each
-# branch's range and velocity, read from the candidates of the track's latest
-# pair, and its score (inf: a dead branch). A dead branch is opened at
-# infinite range, so it lies at infinite distance from every pair and a track
-# with both branches dead claims nothing. Then come the time of the track's
-# last claim, the frames it holds and the chosen branch (-1 undecided, 0 a,
-# 1 b).
-_RANGE, _VELOCITY, _LAST_T, _FRAMES, _SCORE, _CHOSEN = (
-    slice(0, 2), slice(2, 4), 4, 5, slice(6, 8), 8)
-_N_COLUMNS = 9
-# Branch names by chosen index; index -1 reads "undecided".
+# Columns of TrackTable's state matrix. Three groups of one column per branch
+# (a, b) come first: the branch's range and velocity, as candidates read them
+# from the track's latest claimed pair, and its score (inf: a dead branch).
+# Then come the time of the track's last claim, the frames it holds and the
+# chosen branch (-1 undecided, else the branch index).
+_BRANCHES = 2
+_RANGE, _VELOCITY, _SCORE = (slice(k * _BRANCHES, (k + 1) * _BRANCHES) for k in range(3))
+_READINGS = slice(_RANGE.start, _VELOCITY.stop)
+_LAST_T, _FRAMES, _CHOSEN, _N_COLUMNS = range(3 * _BRANCHES, 3 * _BRANCHES + 4)
+# Branch names by index; index -1 reads "undecided".
 _BRANCH_NAMES = ("a", "b", "undecided")
 
 
@@ -57,20 +56,23 @@ class _State:
 
 
 class Hypothesis:
-    """One track of a TrackTable: its id, its history, and reads of its row."""
+    """One track of a TrackTable: its id and reads of its row."""
 
-    __slots__ = ("_state", "track_id", "history")
+    __slots__ = ("_state", "track_id")
 
-    def __init__(self, state: _State, track_id: int,
-                 history: list[tuple[float, PeakPair, CandidatePair]]) -> None:
+    def __init__(self, state: _State, track_id: int) -> None:
         self._state = state
         self.track_id = track_id
-        self.history = history
+
+    @property
+    def n_frames(self) -> int:
+        """Frames the track holds: the one that opened it and each claim since."""
+        return int(self._state.matrix.item(self.track_id, _FRAMES))
 
     @property
     def chosen(self) -> str:
         """"a", "b" or "undecided"."""
-        return _BRANCH_NAMES[int(self._state.matrix[self.track_id, _CHOSEN])]
+        return _BRANCH_NAMES[int(self._state.matrix.item(self.track_id, _CHOSEN))]
 
     @property
     def scores(self) -> tuple[float, float]:
@@ -78,16 +80,17 @@ class Hypothesis:
         return tuple(self._state.matrix[self.track_id, _SCORE].tolist())
 
     def solution(self, branch: str) -> Solution:
-        cand = self.history[-1][2]
-        return cand.sol_a if branch == "a" else cand.sol_b
+        """A branch's reading of the track's latest pair, dead or alive."""
+        b, item = _BRANCH_NAMES.index(branch), self._state.matrix.item
+        return Solution(range_m=item(self.track_id, _RANGE.start + b),
+                        velocity_mps=item(self.track_id, _VELOCITY.start + b))
 
     def best_solution(self) -> Solution:
         """The chosen branch's solution; undecided, the lower score's (a on a tie)."""
         row = self._state.matrix[self.track_id].tolist()
-        score_a, score_b = row[_SCORE]
-        on_b = row[_CHOSEN] > 0 if row[_CHOSEN] >= 0 else score_a > score_b
-        cand = self.history[-1][2]
-        return cand.sol_b if on_b else cand.sol_a
+        scores = row[_SCORE]
+        best = int(row[_CHOSEN]) if row[_CHOSEN] >= 0 else scores.index(min(scores))
+        return self.solution(_BRANCH_NAMES[best])
 
 
 class TrackTable:
@@ -113,25 +116,20 @@ class TrackTable:
     def __getitem__(self, track_id: int) -> Hypothesis:
         return self._tracks[track_id]
 
-    def _open(self, entries: list[tuple[float, PeakPair, CandidatePair]],
-              claims: np.ndarray) -> list[Hypothesis]:
-        """Append one track per history entry; claims holds its _RANGE,
-        _VELOCITY and _LAST_T columns."""
-        n, k = len(self._tracks), len(entries)
+    def _open(self, readings: np.ndarray, t: float) -> list[Hypothesis]:
+        """Append one track per row of readings (its _READINGS), opened at t."""
+        n, k = len(self._tracks), len(readings)
         state = self._state
         if n + k > len(state.matrix):
             grown = np.empty((max(2 * len(state.matrix), n + k), _N_COLUMNS))
             grown[:n] = state.matrix[:n]
             state.matrix = grown
         rows = state.matrix[n:n + k]
-        rows[:, :_FRAMES] = claims
+        rows[:, _READINGS] = readings
         # A non-positive range cannot be a physical target; kill that branch now.
-        dead = claims[:, _RANGE] <= 0.0
-        rows[:, _RANGE][dead] = math.inf
-        rows[:, _SCORE] = np.where(dead, math.inf, 0.0)
-        rows[:, _FRAMES] = 1.0
-        rows[:, _CHOSEN] = -1.0
-        opened = [Hypothesis(state, n + j, [entry]) for j, entry in enumerate(entries)]
+        rows[:, _SCORE] = np.where(readings[:, _RANGE] <= 0.0, math.inf, 0.0)
+        rows[:, _LAST_T:] = t, 1.0, -1.0  # _LAST_T, _FRAMES, _CHOSEN
+        opened = [Hypothesis(state, n + j) for j in range(k)]
         self._tracks += opened
         return opened
 
@@ -140,10 +138,11 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
                       frame: tuple[float, list[PeakPair]]) -> TrackTable:
     """Advance all tracks with one frame of observed peak pairs.
 
-    Every finite branch of every track scores the nearest observed pair;
-    the track's history follows its best branch when that branch's pair is
-    within the association gate. Pairs claimed by no track open new tracks.
-    Returns the table, updated in place, with ``owner`` set for this frame.
+    Every branch of every track scores the nearest observed pair; a track
+    claims its best live branch's pair when that pair is within the
+    association gate, and its row then holds that pair's candidates. Pairs
+    claimed by no track open new tracks. Returns the table, updated in
+    place, with ``owner`` set for this frame.
     """
     t, pairs = frame
     if t <= tracks._last_t:
@@ -153,12 +152,11 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
     if not pairs:
         return tracks
     tracks._last_t = t
-    entries = [(t, pair, candidates(cfg, pair)) for pair in pairs]
-    # Per pair: l1, l2, then the _RANGE, _VELOCITY and _LAST_T columns of a
-    # track that claims it.
+    # Per pair: l1, l2, then the _READINGS of a track that claims it.
+    cands = [candidates(cfg, pair) for pair in pairs]
     obs = np.array([(pair.l1, pair.l2, cand.sol_a.range_m, cand.sol_b.range_m,
-                     cand.sol_a.velocity_mps, cand.sol_b.velocity_mps, t)
-                    for _, pair, cand in entries])
+                     cand.sol_a.velocity_mps, cand.sol_b.velocity_mps)
+                    for pair, cand in zip(pairs, cands)])
     n = len(tracks)
     if n:
         rows = tracks._state.matrix[:n]
@@ -171,28 +169,27 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
         dists = np.abs(lo[..., None] - obs[:, 0]) + np.abs(hi[..., None] - obs[:, 1])
         nearest, dist = dists.argmin(axis=2), dists.min(axis=2)
         scores += dist
-        # The best branch: the chosen one, else the lower score's (a on a tie).
-        on_b = np.where(chosen < 0, scores[:, 0] > scores[:, 1], chosen)
-        hits = np.flatnonzero(np.where(on_b, dist[:, 1], dist[:, 0])
-                              <= NEW_TRACK_GATE_BINS)
-        claimed = np.where(on_b, nearest[:, 1], nearest[:, 0])[hits]
+        # The lower score's branch (argmin keeps a on a tie); the best branch
+        # is the chosen one, else that one. It claims only while alive, so a
+        # track whose branches are all dead claims nothing.
+        lowest = scores.argmin(axis=1)
+        best = np.arange(n), np.where(chosen < 0, lowest, chosen).astype(int)
+        hits = np.flatnonzero((dist[best] <= NEW_TRACK_GATE_BINS) & (scores[best] < math.inf))
+        claimed = nearest[best][hits]
         for row, idx in zip(hits.tolist(), claimed.tolist()):
-            track = tracks._tracks[row]
-            track.history.append(entries[idx])
-            owner[idx] = track
-        rows[hits, :_FRAMES] = obs[claimed, 2:]
+            owner[idx] = tracks._tracks[row]
+        rows[hits, _READINGS] = obs[claimed, 2:]
+        rows[hits, _LAST_T] = t
         rows[hits, _FRAMES] += 1.0
-        # Only tracks holding enough frames may decide. A track with both
+        # Only tracks holding enough frames may decide. A track with all
         # branches dead never claims, so inf - inf is never taken.
         gap = np.zeros(n)
         np.subtract(scores[:, 0], scores[:, 1], out=gap,
                     where=rows[:, _FRAMES] >= _FRAMES_TO_DECIDE)
-        np.copyto(chosen, scores[:, 0] >= scores[:, 1],
-                  where=np.abs(gap, out=gap) > DECISION_MARGIN_BINS)
+        np.copyto(chosen, lowest, where=np.abs(gap, out=gap) > DECISION_MARGIN_BINS)
 
     new = [idx for idx, track in enumerate(owner) if track is None]
     if new:
-        opened = tracks._open([entries[idx] for idx in new], obs[new, 2:])
-        for idx, track in zip(new, opened):
+        for idx, track in zip(new, tracks._open(obs[new, 2:], t)):
             owner[idx] = track
     return tracks

@@ -249,9 +249,11 @@ def test_criterion_8_multi_frame_ambiguity_resolution():
             _, _, pairs, _ = _scene_frame("fig4", t, fidx, WindowKind.HAMMING)
             frames[t] = pairs
             tracks = resolve_ambiguity(CFG, tracks, (t, pairs))
+            if fidx == 0:
+                # the track that opened on the far car's pair
+                far_track = [tr for pair, tr in zip(pairs, tracks.owner)
+                             if abs(pair.l1 - 79) <= 1][0]
         # the far car's track locks onto the true (40 m, 5 m/s) branch
-        far_track = [tr for tr in tracks
-                     if abs(tr.history[0][1].l1 - 79) <= 1][0]
         assert far_track.chosen == "a"
         sol = far_track.best_solution()
         assert sol.range_m == pytest.approx(40.0, abs=0.5)

@@ -1,11 +1,13 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
+import jcas.cli
 import jcas.diag_estimator
 from jcas.cli import build_parser, fmt, main, write_image_csv, write_rdmap_csv
-from jcas.diag_estimator import RadarImage
+from jcas.diag_estimator import PeakPair, RadarImage, candidates
 from jcas.grid_estimator import RangeDopplerMap
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
@@ -256,6 +258,40 @@ def test_simulate_half_comb_derives_diagonal_length(tmp_path):
     assert len((out / "image_0.csv").read_text().splitlines()) == 1 + 121
 
 
+def test_simulate_stationary_vehicle_prints_dead_branch_reading(tmp_path, monkeypatch,
+                                                                table1):
+    # A stationary vehicle's two tones fall in one peak, which pair_peaks
+    # leaves an orphan; pair it with itself, as the coincident pair it
+    # stands for. Its swapped branch reads range 0, so that branch is dead
+    # from the frame that opens the track, and the branch's own reading,
+    # not inf, still goes out under r_eq16_m.
+    real = jcas.cli.process_frame
+
+    def self_paired(d, windows):
+        frame = real(d, windows)
+        assert not frame.pairs and len(frame.orphans) == 1
+        return dataclasses.replace(
+            frame, orphans=[],
+            pairs=[PeakPair(p.bin, p.bin, p.magnitude_db) for p in frame.orphans])
+
+    monkeypatch.setattr(jcas.cli, "process_frame", self_paired)
+    out = tmp_path / "run"
+    scene = tmp_path / "parked.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace("relative_speed_mps = 5.0",
+                                           "relative_speed_mps = 0.0"))
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "detections.csv")
+    assert [row[11] for row in rows] == ["undecided", "a"]
+    for row in rows:
+        cand = candidates(table1, PeakPair(int(row[1]), int(row[2]), 0.0))
+        assert row[1] == row[2] and row[7] == "0"
+        assert row[5:9] == [fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
+                            fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps)]
+        assert row[12:] == row[5:7]
+    _, [track] = _read_csv(out / "tracks.csv")
+    assert track[:2] == ["0", "2"] and track[3:] == ["inf", "a", *rows[-1][5:7]]
+
+
 @pytest.mark.parametrize("estimator", ["diag", "both"])
 def test_simulate_refuses_non_square_comb_before_output(tmp_path, capsys, estimator):
     out = tmp_path / "deep" / "run"
@@ -459,6 +495,33 @@ def test_capabilities_table(capsys):
     assert "91.8367" in text
     assert "0.0204082" in text
     assert "4.2517e-05" in text
+
+
+def test_capabilities_builtin_scene(capsys):
+    # A builtin scene carries the table-1 block, as simulate reads it.
+    assert main(["capabilities", "--scene", "fig4"]) == 0
+    out = capsys.readouterr().out
+    assert main(["capabilities"]) == 0
+    assert capsys.readouterr().out == out
+    for figure in ("0.372024", "0.191327", "178.571", "91.8367", "0.0204082",
+                   "4.2517e-05"):
+        assert figure in out
+
+
+def test_capabilities_non_square_comb_prints_grid_figures(tmp_path, capsys):
+    # simulate --estimator grid2d runs this scene, so its grid figures print;
+    # a non-square comb has no diagonal allocation.
+    scene = tmp_path / "oblong.cfg"
+    scene.write_text(ONE_CAR_SCENE + "[ofdm]\nn_sensing_freq = 240\n")
+    alloc = tmp_path / "alloc"
+    assert main(["capabilities", "--scene", str(scene), "--alloc-csv", str(alloc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines] == [
+        "0.372024", "0.191327", "89.2857", "91.8367", "0.0102041", "n/a"]
+    assert lines[-1].startswith("diagonal sensing overhead")
+    assert sorted(p.name for p in alloc.iterdir()) == ["allocation_grid.csv"]
+    grid = (alloc / "allocation_grid.csv").read_text().splitlines()
+    assert len(grid) == 1 + 240 * 480
 
 
 def test_capabilities_dense_config(tmp_path, capsys):

@@ -85,7 +85,6 @@ def test_load_scene_file(tmp_path):
     sf = load_scene(path)
     assert sf.ofdm is None
     scene = sf.scene
-    assert scene.frame_interval_s == 0.030
     assert scene.measurement_times_s == (0.0, 0.2)
     lead, far = scene.vehicles
     assert lead.rcs_m2 == pytest.approx(10 ** 0.5)
@@ -122,6 +121,19 @@ def test_malformed_scene_files(tmp_path, mutation):
     path = tmp_path / "scene.cfg"
     path.write_text(SCENE_TEXT.replace(old, new, 1))
     with pytest.raises(ValueError):
+        load_scene(path)
+
+
+@pytest.mark.parametrize("value", ["0.0", "-0.03", "nan", "inf", "[0.03]"])
+def test_frame_interval_checked_but_unused(tmp_path, value):
+    # Scene files may still carry the key; no arithmetic reads it.
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT.replace("frame_interval_s = 0.030", "frame_interval_s = 0.5"))
+    kept = load_scene(path)
+    path.write_text(SCENE_TEXT.replace("frame_interval_s = 0.030\n", ""))
+    assert load_scene(path) == kept
+    path.write_text(SCENE_TEXT.replace("0.030", value))
+    with pytest.raises(ValueError, match="frame_interval_s must"):
         load_scene(path)
 
 

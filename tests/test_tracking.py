@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from jcas.config import OfdmConfig, tone_pair_bins
-from jcas.diag_estimator import PeakPair
+from jcas.diag_estimator import PeakPair, candidates
 from jcas.tracking import (DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS, TrackTable,
                            resolve_ambiguity)
 
@@ -29,7 +29,7 @@ def test_single_frame_stays_undecided(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 39.0, 5.0)]))
     assert len(tracks) == 1
     assert tracks[0].chosen == "undecided"
-    assert len(tracks[0].history) == 1
+    assert tracks[0].n_frames == 1
 
 
 def test_two_frames_resolve_receding_car(table1):
@@ -78,9 +78,26 @@ def test_stationary_target_discards_zero_range_branch(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [pair]))
     assert math.isinf(tracks[0].scores[1])
     assert tracks[0].chosen == "undecided"
+    # dead by its score alone: the row keeps the branch's own reading
+    assert tracks[0].solution("b") == candidates(table1, pair).sol_b
+    assert tracks[0].solution("b").range_m == 0.0
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert tracks[0].chosen == "a"
     assert tracks[0].best_solution().velocity_mps == 0.0
+
+
+def test_track_with_every_branch_dead_claims_nothing(table1):
+    # Pair (0, 0) reads range 0 on both branches. Both are dead, so the same
+    # pair a frame later lies at distance 0 yet opens a second track.
+    pair = PeakPair(0, 0, 0.0)
+    tracks = TrackTable()
+    for t in (0.0, 0.2):
+        tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
+    assert len(tracks) == 2
+    assert tracks.owner == [tracks[1]]
+    assert tracks[0].n_frames == 1
+    assert tracks[0].scores == (math.inf, math.inf)
+    assert tracks[0].chosen == "undecided"
 
 
 def test_unassociated_pair_opens_new_track(table1):
@@ -101,7 +118,7 @@ def test_empty_frame_keeps_tracks(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, []))
     assert len(tracks) == 1
-    assert len(tracks[0].history) == 1
+    assert tracks[0].n_frames == 1
 
 
 def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
@@ -114,8 +131,8 @@ def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
     expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
     tracks = resolve_ambiguity(table1, tracks, (0.2, twin))
     assert tracks[0].scores[0] == expected
-    assert tracks[0].history[-1][1] is twin[0]
-    assert tracks[1].history[0][1] is twin[1]
+    assert tracks.owner == [tracks[0], tracks[1]]
+    assert (tracks[0].n_frames, tracks[1].n_frames) == (2, 1)
 
 
 def test_last_claiming_track_owns_a_shared_pair(table1):
@@ -126,7 +143,10 @@ def test_last_claiming_track_owns_a_shared_pair(table1):
     pair = _pair_for(table1, 41.0, 5.0)
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert len(tracks) == 2
-    assert tracks[0].history[-1][1] is pair and tracks[1].history[-1][1] is pair
+    cand = candidates(table1, pair)
+    for track in tracks:
+        assert track.n_frames == 2
+        assert (track.solution("a"), track.solution("b")) == (cand.sol_a, cand.sol_b)
     assert tracks.owner == [tracks[1]]
 
 
@@ -136,7 +156,9 @@ def test_unclaimed_pair_opens_a_track_that_owns_it(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, [far, near]))
     assert tracks.owner == [tracks[1], tracks[0]]
-    assert tracks[1].history == [(0.2, far, tracks[1].history[0][2])]
+    cand = candidates(table1, far)
+    assert tracks[1].n_frames == 1
+    assert (tracks[1].solution("a"), tracks[1].solution("b")) == (cand.sol_a, cand.sol_b)
     tracks = resolve_ambiguity(table1, tracks, (0.4, []))
     assert tracks.owner == []
 
@@ -207,8 +229,9 @@ def test_table_matches_the_per_track_loop(cfg):
                 assert got.track_id == want.track_id
                 assert got.scores == (want.score_a, want.score_b)
                 assert got.chosen == want.chosen
-                assert len(got.history) == len(want.history)
-                assert got.history[-1][1] is want.history[-1][1]
+                assert got.n_frames == len(want.history)
+                assert got.solution("a") == want.solution("a")
+                assert got.solution("b") == want.solution("b")
                 assert got.best_solution() == want.best_solution()
                 at_margin += (len(want.history) >= 2 and
                               abs(want.score_a - want.score_b) == DECISION_MARGIN_BINS)
