@@ -12,9 +12,8 @@ from .channel import (DiagonalModel, DiagonalVector, LinkBudget, NoiseSpec,
                       synthesize_grid, target_amplitudes)
 from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_velocity,
                      capabilities, doppler_bin, range_bin, tone_pair_bins)
-from .diag_estimator import (CandidatePair, Peak, PeakPair, RadarImage, Solution,
-                             WindowKind, apply_window, candidates, detect_peaks_1d,
-                             diag_spectrum, pair_peaks, psl)
+from .diag_estimator import (Peak, PeakPair, RadarImage, WindowKind, apply_window,
+                             candidates, detect_peaks_1d, diag_spectrum, pair_peaks, psl)
 from .grid_estimator import (GridDetection, RangeDopplerMap, bins_to_estimate,
                              detect_peaks_2d, range_doppler_map)
 from .scenario import Scene, SceneFile, VehicleSpec, builtin_scene, load_scene, targets_at

@@ -94,12 +94,9 @@ def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list
     """One detections.csv row per pair of frame t, read from its owner's row."""
     rows = []
     for pair, track in zip(pairs, tracks.owner):
-        sol_a, sol_b, best = track.solution("a"), track.solution("b"), track.best_solution()
         rows.append(_DETECTION_ROW % (
-            t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin,
-            sol_a.range_m, sol_a.velocity_mps, sol_b.range_m, sol_b.velocity_mps,
-            pair.magnitude_db, track.track_id, track.chosen,
-            best.range_m, best.velocity_mps))
+            t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin, *track.readings,
+            pair.magnitude_db, track.track_id, track.chosen, *track.best_solution()))
     return rows
 
 
@@ -134,21 +131,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if run_grid:
             rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
             write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
-            grid_rows += [",".join([
-                fmt(t), str(det.range_bin), str(det.doppler_bin),
-                fmt(det.magnitude_db), fmt(det.range_m), fmt(det.velocity_mps)])
-                for det in detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)]
+            grid_rows += ["%.6g,%d,%d,%.6g,%.6g,%.6g" % (
+                t, det.range_bin, det.doppler_bin, det.magnitude_db, det.range_m,
+                det.velocity_mps) for det in detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)]
     if run_diag:
         _write_csv(out_dir / "detections.csv",
                    "time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
                    "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",
                    det_rows)
-        track_rows = []
-        for tr in tracks:
-            best = tr.best_solution()
-            track_rows.append("%s,%s,%.6g,%.6g,%s,%.6g,%.6g" % (
-                tr.track_id, tr.n_frames, *tr.scores, tr.chosen,
-                best.range_m, best.velocity_mps))
+        track_rows = ["%s,%s,%.6g,%.6g,%s,%.6g,%.6g" % (
+            tr.track_id, tr.n_frames, *tr.scores, tr.chosen, *tr.best_solution())
+            for tr in tracks]
         _write_csv(out_dir / "tracks.csv",
                    "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)
     if run_grid:

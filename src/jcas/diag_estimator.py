@@ -1,7 +1,7 @@
 """Range-velocity estimation on the diagonal comb via one 1-D transform.
 
 Pipeline: windowing -> length-N DFT -> dB radar image -> 1-D peak detection
--> amplitude-based peak pairing -> candidate (range, velocity) solutions per
+-> amplitude-based peak pairing -> candidate (range, velocity) readings per
 pair. Each target produces two peaks; the mean and difference of a pair's
 bin indices carry range and velocity, but which carries which is ambiguous
 within a single frame (see tracking for the multi-frame resolution).
@@ -105,24 +105,6 @@ class DiagFrame:
     peaks: list[Peak]
     pairs: list[PeakPair]
     orphans: list[Peak]
-
-
-@dataclass(frozen=True)
-class Solution:
-    range_m: float
-    velocity_mps: float
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """The two (range, velocity) readings consistent with one peak pair.
-
-    sol_a assigns the pair mean to range and the half-difference to velocity;
-    sol_b swaps the roles. Exactly one matches the true target.
-    """
-
-    sol_a: Solution
-    sol_b: Solution
 
 
 def window_coefficients(kind: WindowKind, n: int) -> np.ndarray:
@@ -263,14 +245,15 @@ def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0
     return pairs, unpaired
 
 
-def candidates(cfg: OfdmConfig, pair: PeakPair) -> CandidatePair:
-    """The two (range, velocity) solutions a dual-peak pair admits.
+def candidates(cfg: OfdmConfig, pair: PeakPair) -> tuple[float, float, float, float]:
+    """The two (range, velocity) readings a dual-peak pair admits, as
+    (r_a, v_a, r_b, v_b).
 
-    With mean bin m and difference d: sol_a reads m as the range bin and d/2
-    as the Doppler bin; sol_b swaps the roles. The degenerate coincident
-    pair (d = 0) yields sol_a = (R, 0) and sol_b = (0, v).
+    With mean bin m and difference d: reading a takes m as the range bin and
+    d/2 as the Doppler bin; reading b swaps the roles. Exactly one matches
+    the true target. The degenerate coincident pair (d = 0) yields
+    a = (R, 0) and b = (0, v).
     """
     m, d = pair.mean_bin, pair.delta_bin
-    sol_a = Solution(range_m=bin_range(cfg, m), velocity_mps=bin_velocity(cfg, d / 2))
-    sol_b = Solution(range_m=bin_range(cfg, d / 2), velocity_mps=bin_velocity(cfg, m))
-    return CandidatePair(sol_a=sol_a, sol_b=sol_b)
+    return (bin_range(cfg, m), bin_velocity(cfg, d / 2),
+            bin_range(cfg, d / 2), bin_velocity(cfg, m))

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .config import OfdmConfig, tone_pair_bins
-from .diag_estimator import PeakPair, Solution, candidates
+from .diag_estimator import PeakPair, candidates
 
 # A branch whose prediction lands farther than this from every observed pair
 # leaves the pair unclaimed (it may then seed a new track).
@@ -28,14 +28,15 @@ NEW_TRACK_GATE_BINS = 8.0
 DECISION_MARGIN_BINS = 2.0
 _FRAMES_TO_DECIDE = 2
 
-# Columns of TrackTable's state matrix. Three groups of one column per branch
-# (a, b) come first: the branch's range and velocity, as candidates read them
-# from the track's latest claimed pair, and its score (inf: a dead branch).
-# Then come the time of the track's last claim, the frames it holds and the
-# chosen branch (-1 undecided, else the branch index).
+# Columns of TrackTable's state matrix. The readings come first: candidates'
+# tuple for the track's latest claimed pair, one (range, velocity) group per
+# branch (a, b). Then one score per branch (inf: a dead branch), the time of
+# the track's last claim, the frames it holds and the chosen branch (-1
+# undecided, else the branch index).
 _BRANCHES = 2
-_RANGE, _VELOCITY, _SCORE = (slice(k * _BRANCHES, (k + 1) * _BRANCHES) for k in range(3))
-_READINGS = slice(_RANGE.start, _VELOCITY.stop)
+_READINGS = slice(0, 2 * _BRANCHES)
+_RANGE, _VELOCITY = (slice(k, 2 * _BRANCHES, 2) for k in range(2))
+_SCORE = slice(2 * _BRANCHES, 3 * _BRANCHES)
 _LAST_T, _FRAMES, _CHOSEN, _N_COLUMNS = range(3 * _BRANCHES, 3 * _BRANCHES + 4)
 # Branch names by index; index -1 reads "undecided".
 _BRANCH_NAMES = ("a", "b", "undecided")
@@ -79,18 +80,19 @@ class Hypothesis:
         """Accrued (a, b) branch scores; inf marks a dead branch."""
         return tuple(self._state.matrix[self.track_id, _SCORE].tolist())
 
-    def solution(self, branch: str) -> Solution:
-        """A branch's reading of the track's latest pair, dead or alive."""
-        b, item = _BRANCH_NAMES.index(branch), self._state.matrix.item
-        return Solution(range_m=item(self.track_id, _RANGE.start + b),
-                        velocity_mps=item(self.track_id, _VELOCITY.start + b))
+    @property
+    def readings(self) -> tuple[float, float, float, float]:
+        """Both branches' readings of the track's latest pair, dead or alive,
+        as candidates gives them: (r_a, v_a, r_b, v_b)."""
+        return tuple(self._state.matrix[self.track_id, _READINGS].tolist())
 
-    def best_solution(self) -> Solution:
-        """The chosen branch's solution; undecided, the lower score's (a on a tie)."""
+    def best_solution(self) -> tuple[float, float]:
+        """The chosen branch's (range, velocity); undecided, the lower
+        score's (a on a tie)."""
         row = self._state.matrix[self.track_id].tolist()
         scores = row[_SCORE]
         best = int(row[_CHOSEN]) if row[_CHOSEN] >= 0 else scores.index(min(scores))
-        return self.solution(_BRANCH_NAMES[best])
+        return row[_RANGE][best], row[_VELOCITY][best]
 
 
 class TrackTable:
@@ -147,16 +149,13 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
     t, pairs = frame
     if t <= tracks._last_t:
         raise ValueError("frame times must be strictly increasing")
+    tracks._last_t = t
     owner: list = [None] * len(pairs)
     tracks.owner = owner
     if not pairs:
         return tracks
-    tracks._last_t = t
     # Per pair: l1, l2, then the _READINGS of a track that claims it.
-    cands = [candidates(cfg, pair) for pair in pairs]
-    obs = np.array([(pair.l1, pair.l2, cand.sol_a.range_m, cand.sol_b.range_m,
-                     cand.sol_a.velocity_mps, cand.sol_b.velocity_mps)
-                    for pair, cand in zip(pairs, cands)])
+    obs = np.array([(pair.l1, pair.l2, *candidates(cfg, pair)) for pair in pairs])
     n = len(tracks)
     if n:
         rows = tracks._state.matrix[:n]

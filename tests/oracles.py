@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from jcas.config import OfdmConfig, tone_pair_bins
-from jcas.diag_estimator import CandidatePair, PeakPair, Solution, candidates
+from jcas.diag_estimator import PeakPair, candidates
 from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
 
@@ -129,34 +129,37 @@ class Hypothesis:
 
     track_id: int
     chosen: str = "undecided"  # "a" | "b" | "undecided"
-    history: list[tuple[float, PeakPair, CandidatePair]] = field(default_factory=list)
+    # (t, pair, candidates' (r_a, v_a, r_b, v_b) for the pair) per claim
+    history: list[tuple[float, PeakPair, tuple]] = field(default_factory=list)
     score_a: float = 0.0
     score_b: float = 0.0
 
-    def solution(self, branch: str) -> Solution:
-        cand = self.history[-1][2]
-        return cand.sol_a if branch == "a" else cand.sol_b
+    def solution(self, branch: str) -> tuple[float, float]:
+        r_a, v_a, r_b, v_b = self.history[-1][2]
+        return (r_a, v_a) if branch == "a" else (r_b, v_b)
 
     def best_branch(self) -> str:
         if self.chosen != "undecided":
             return self.chosen
         return "a" if self.score_a <= self.score_b else "b"
 
-    def best_solution(self) -> Solution:
+    def best_solution(self) -> tuple[float, float]:
         return self.solution(self.best_branch())
 
 
-def _predicted_pair(cfg: OfdmConfig, sol: Solution, dt: float) -> tuple[float, float]:
-    return tone_pair_bins(cfg, sol.range_m + sol.velocity_mps * dt, sol.velocity_mps)
+def _predicted_pair(cfg: OfdmConfig, sol: tuple[float, float],
+                    dt: float) -> tuple[float, float]:
+    r, v = sol
+    return tone_pair_bins(cfg, r + v * dt, v)
 
 
-def _start_track(track_id: int, t: float, pair: PeakPair,
-                 cand: CandidatePair) -> Hypothesis:
+def _start_track(track_id: int, t: float, pair: PeakPair, cand: tuple) -> Hypothesis:
     track = Hypothesis(track_id=track_id, history=[(t, pair, cand)])
     # A non-positive range cannot be a physical target; kill that branch now.
-    if cand.sol_a.range_m <= 0.0:
+    r_a, _, r_b, _ = cand
+    if r_a <= 0.0:
         track.score_a = math.inf
-    if cand.sol_b.range_m <= 0.0:
+    if r_b <= 0.0:
         track.score_b = math.inf
     return track
 

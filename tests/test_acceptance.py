@@ -71,11 +71,11 @@ def test_criterion_1_dual_peak_profile_and_candidates():
         assert len(bins) == 2
         assert abs(bins[0] - 81) <= 2 and abs(bins[1] - 134) <= 2
         pairs, _ = pair_peaks(peaks)
-        cand = candidates(CFG, pairs[0])
-        assert abs(cand.sol_a.range_m - 40.0) <= 0.4
-        assert abs(cand.sol_a.velocity_mps - 5.0) <= 0.3
-        assert abs(cand.sol_b.range_m - 10.0) <= 0.4
-        assert abs(cand.sol_b.velocity_mps - 20.0) <= 0.8
+        r_a, v_a, r_b, v_b = candidates(CFG, pairs[0])
+        assert abs(r_a - 40.0) <= 0.4
+        assert abs(v_a - 5.0) <= 0.3
+        assert abs(r_b - 10.0) <= 0.4
+        assert abs(v_b - 20.0) <= 0.8
 
 
 def test_criterion_2_capability_numbers():
@@ -255,11 +255,11 @@ def test_criterion_8_multi_frame_ambiguity_resolution():
                              if abs(pair.l1 - 79) <= 1][0]
         # the far car's track locks onto the true (40 m, 5 m/s) branch
         assert far_track.chosen == "a"
-        sol = far_track.best_solution()
-        assert sol.range_m == pytest.approx(40.0, abs=0.5)
-        assert sol.velocity_mps == pytest.approx(5.0, abs=0.3)
-        phantom = far_track.solution("b")
-        assert abs(phantom.range_m - 10.0) <= 0.5  # the rejected reading
+        r_m, v_mps = far_track.best_solution()
+        assert r_m == pytest.approx(40.0, abs=0.5)
+        assert v_mps == pytest.approx(5.0, abs=0.3)
+        _, _, phantom_r, _ = far_track.readings
+        assert abs(phantom_r - 10.0) <= 0.5  # the rejected reading
         # at the second frame the two cars' pairs overlap within 4 bins
         (p1, p2) = sorted(frames[0.2], key=lambda p: p.l1)[:2]
         assert abs(p1.l1 - p2.l1) <= 4 and abs(p1.l2 - p2.l2) <= 4
@@ -292,14 +292,13 @@ def test_criterion_9_round_trip_both_estimators():
             peaks = detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0)
             pairs, _ = pair_peaks(peaks, amp_tolerance_db=4.0)
             assert len(pairs) == 1, f"target ({r:.2f}, {v:.2f}): {len(pairs)} pairs"
-            cand = candidates(CFG, pairs[0])
-            sol = min((cand.sol_a, cand.sol_b),
-                      key=lambda s: abs(s.range_m - r_g))
-            assert abs(sol.range_m - r) <= RANGE_QUANTUM
-            assert abs(sol.velocity_mps - v) <= VELOCITY_QUANTUM
+            r_a, v_a, r_b, v_b = candidates(CFG, pairs[0])
+            r_d, v_d = min(((r_a, v_a), (r_b, v_b)), key=lambda s: abs(s[0] - r_g))
+            assert abs(r_d - r) <= RANGE_QUANTUM
+            assert abs(v_d - v) <= VELOCITY_QUANTUM
             # cross-estimator agreement
-            assert abs(sol.range_m - r_g) <= RANGE_QUANTUM
-            assert abs(sol.velocity_mps - v_g) <= VELOCITY_QUANTUM
+            assert abs(r_d - r_g) <= RANGE_QUANTUM
+            assert abs(v_d - v_g) <= VELOCITY_QUANTUM
             checked += 1
 
 

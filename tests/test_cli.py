@@ -283,10 +283,9 @@ def test_simulate_stationary_vehicle_prints_dead_branch_reading(tmp_path, monkey
     _, rows = _read_csv(out / "detections.csv")
     assert [row[11] for row in rows] == ["undecided", "a"]
     for row in rows:
-        cand = candidates(table1, PeakPair(int(row[1]), int(row[2]), 0.0))
+        readings = candidates(table1, PeakPair(int(row[1]), int(row[2]), 0.0))
         assert row[1] == row[2] and row[7] == "0"
-        assert row[5:9] == [fmt(cand.sol_a.range_m), fmt(cand.sol_a.velocity_mps),
-                            fmt(cand.sol_b.range_m), fmt(cand.sol_b.velocity_mps)]
+        assert row[5:9] == [fmt(x) for x in readings]
         assert row[12:] == row[5:7]
     _, [track] = _read_csv(out / "tracks.csv")
     assert track[:2] == ["0", "2"] and track[3:] == ["inf", "a", *rows[-1][5:7]]

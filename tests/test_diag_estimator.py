@@ -339,17 +339,17 @@ class TestPairing:
 
 class TestCandidates:
     def test_fig3_pair_solutions(self, table1):
-        cand = candidates(table1, PeakPair(81, 134, 0.0))
-        assert cand.sol_a.range_m == pytest.approx(39.9926, abs=1e-4)
-        assert cand.sol_a.velocity_mps == pytest.approx(5.07015, abs=1e-5)
-        assert cand.sol_b.range_m == pytest.approx(9.85863, abs=1e-5)
-        assert cand.sol_b.velocity_mps == pytest.approx(20.5676, abs=1e-4)
+        r_a, v_a, r_b, v_b = candidates(table1, PeakPair(81, 134, 0.0))
+        assert r_a == pytest.approx(39.9926, abs=1e-4)
+        assert v_a == pytest.approx(5.07015, abs=1e-5)
+        assert r_b == pytest.approx(9.85863, abs=1e-5)
+        assert v_b == pytest.approx(20.5676, abs=1e-4)
 
     def test_degenerate_coincident_pair(self, table1):
-        cand = candidates(table1, PeakPair(54, 54, 0.0))
-        assert cand.sol_a.velocity_mps == 0.0
-        assert cand.sol_b.range_m == 0.0
-        assert cand.sol_a.range_m > 0 and cand.sol_b.velocity_mps > 0
+        r_a, v_a, r_b, v_b = candidates(table1, PeakPair(54, 54, 0.0))
+        assert v_a == 0.0
+        assert r_b == 0.0
+        assert r_a > 0 and v_b > 0
 
     def test_unequal_comb_spacings_read_within_one_cell(self, unequal_cfg):
         # L_t = 4, L_f = 7: the Doppler bin maps back over the n_symbols = 1920
@@ -357,9 +357,9 @@ class TestCandidates:
         caps = capabilities(unequal_cfg)
         d = synthesize_diag(unequal_cfg, [FIG3_TARGET], np.array([1.0]))
         pairs, _ = pair_peaks(detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0))
-        sol = candidates(unequal_cfg, pairs[0]).sol_a
-        assert abs(sol.range_m - 40.0) <= caps.range_resolution
-        assert abs(sol.velocity_mps - 5.0) <= caps.velocity_resolution
+        r_a, v_a, _, _ = candidates(unequal_cfg, pairs[0])
+        assert abs(r_a - 40.0) <= caps.range_resolution
+        assert abs(v_a - 5.0) <= caps.velocity_resolution
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=2.0, max_value=80.0),
@@ -369,11 +369,11 @@ class TestCandidates:
         l1, l2 = round(lo), round(hi)
         if l2 - l1 < 2:
             return
-        cand = candidates(table1, PeakPair(l1, l2, 0.0))
-        for sol in (cand.sol_a, cand.sol_b):
-            lo2, hi2 = tone_pair_bins(table1, sol.range_m, sol.velocity_mps)
+        r_a, v_a, r_b, v_b = candidates(table1, PeakPair(l1, l2, 0.0))
+        for r_x, v_x in ((r_a, v_a), (r_b, v_b)):
+            lo2, hi2 = tone_pair_bins(table1, r_x, v_x)
             assert abs(lo2 - l1) <= 1.0 and abs(hi2 - l2) <= 1.0
-        # one of the two solutions is the true target, within a bin quantum
-        err_a = abs(cand.sol_a.range_m - r)
-        err_b = abs(cand.sol_b.range_m - r)
+        # one of the two readings is the true target, within a bin quantum
+        err_a = abs(r_a - r)
+        err_b = abs(r_b - r)
         assert min(err_a, err_b) <= 0.3721

@@ -41,9 +41,9 @@ def test_two_frames_resolve_receding_car(table1):
     assert len(tracks) == 1
     track = tracks[0]
     assert track.chosen == "a"
-    sol = track.best_solution()
-    assert sol.range_m == pytest.approx(41.0, abs=0.4)
-    assert sol.velocity_mps == pytest.approx(5.0, abs=0.3)
+    r_m, v_mps = track.best_solution()
+    assert r_m == pytest.approx(41.0, abs=0.4)
+    assert v_mps == pytest.approx(5.0, abs=0.3)
 
 
 def test_two_frames_resolve_fast_near_car(table1):
@@ -54,9 +54,9 @@ def test_two_frames_resolve_fast_near_car(table1):
         pair = _pair_for(table1, 6.0 + 20.0 * t, 20.0)
         tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
     assert tracks[0].chosen == "b"
-    sol = tracks[0].best_solution()
-    assert sol.range_m == pytest.approx(10.0, abs=0.4)
-    assert sol.velocity_mps == pytest.approx(20.0, abs=0.3)
+    r_m, v_mps = tracks[0].best_solution()
+    assert r_m == pytest.approx(10.0, abs=0.4)
+    assert v_mps == pytest.approx(20.0, abs=0.3)
 
 
 def test_two_tracks_resolve_in_parallel(table1):
@@ -68,8 +68,8 @@ def test_two_tracks_resolve_in_parallel(table1):
     assert len(tracks) == 2
     by_choice = {tr.chosen: tr for tr in tracks}
     assert set(by_choice) == {"a", "b"}
-    assert by_choice["a"].best_solution().range_m == pytest.approx(40.0, abs=0.5)
-    assert by_choice["b"].best_solution().velocity_mps == pytest.approx(20.0, abs=0.3)
+    assert by_choice["a"].best_solution()[0] == pytest.approx(40.0, abs=0.5)
+    assert by_choice["b"].best_solution()[1] == pytest.approx(20.0, abs=0.3)
 
 
 def test_stationary_target_discards_zero_range_branch(table1):
@@ -79,11 +79,11 @@ def test_stationary_target_discards_zero_range_branch(table1):
     assert math.isinf(tracks[0].scores[1])
     assert tracks[0].chosen == "undecided"
     # dead by its score alone: the row keeps the branch's own reading
-    assert tracks[0].solution("b") == candidates(table1, pair).sol_b
-    assert tracks[0].solution("b").range_m == 0.0
+    assert tracks[0].readings[2:] == candidates(table1, pair)[2:]
+    assert tracks[0].readings[2] == 0.0
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert tracks[0].chosen == "a"
-    assert tracks[0].best_solution().velocity_mps == 0.0
+    assert tracks[0].best_solution()[1] == 0.0
 
 
 def test_track_with_every_branch_dead_claims_nothing(table1):
@@ -114,6 +114,13 @@ def test_non_increasing_time_rejected(table1):
         resolve_ambiguity(table1, tracks, (0.5, [_pair_for(table1, 40.0, 5.0)]))
 
 
+def test_time_of_an_empty_frame_counts(table1):
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.4, [_pair_for(table1, 40.0, 5.0)]))
+    tracks = resolve_ambiguity(table1, tracks, (0.5, []))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        resolve_ambiguity(table1, tracks, (0.45, [_pair_for(table1, 40.0, 5.0)]))
+
+
 def test_empty_frame_keeps_tracks(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, []))
@@ -125,9 +132,8 @@ def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
     # Two identical pairs: the first claims the track, the second opens one.
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     twin = [_pair_for(table1, 41.0, 5.0), _pair_for(table1, 41.0, 5.0)]
-    sol_a = tracks[0].solution("a")
-    pred_a = tone_pair_bins(table1, sol_a.range_m + sol_a.velocity_mps * 0.2,
-                            sol_a.velocity_mps)
+    r_a, v_a, _, _ = tracks[0].readings
+    pred_a = tone_pair_bins(table1, r_a + v_a * 0.2, v_a)
     expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
     tracks = resolve_ambiguity(table1, tracks, (0.2, twin))
     assert tracks[0].scores[0] == expected
@@ -143,10 +149,9 @@ def test_last_claiming_track_owns_a_shared_pair(table1):
     pair = _pair_for(table1, 41.0, 5.0)
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert len(tracks) == 2
-    cand = candidates(table1, pair)
     for track in tracks:
         assert track.n_frames == 2
-        assert (track.solution("a"), track.solution("b")) == (cand.sol_a, cand.sol_b)
+        assert track.readings == candidates(table1, pair)
     assert tracks.owner == [tracks[1]]
 
 
@@ -156,9 +161,8 @@ def test_unclaimed_pair_opens_a_track_that_owns_it(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, [far, near]))
     assert tracks.owner == [tracks[1], tracks[0]]
-    cand = candidates(table1, far)
     assert tracks[1].n_frames == 1
-    assert (tracks[1].solution("a"), tracks[1].solution("b")) == (cand.sol_a, cand.sol_b)
+    assert tracks[1].readings == candidates(table1, far)
     tracks = resolve_ambiguity(table1, tracks, (0.4, []))
     assert tracks.owner == []
 
@@ -230,8 +234,7 @@ def test_table_matches_the_per_track_loop(cfg):
                 assert got.scores == (want.score_a, want.score_b)
                 assert got.chosen == want.chosen
                 assert got.n_frames == len(want.history)
-                assert got.solution("a") == want.solution("a")
-                assert got.solution("b") == want.solution("b")
+                assert got.readings == (*want.solution("a"), *want.solution("b"))
                 assert got.best_solution() == want.best_solution()
                 at_margin += (len(want.history) >= 2 and
                               abs(want.score_a - want.score_b) == DECISION_MARGIN_BINS)
