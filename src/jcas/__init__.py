@@ -6,7 +6,7 @@ ambiguity resolution, and a transform complexity benchmark.
 """
 
 from .allocation import Allocation, AllocationKind, build_allocation, overhead
-from .bench import BenchReport, OpCount, count_ops, run_bench
+from .bench import count_ops, run_bench
 from .channel import (DiagonalModel, DiagonalVector, LinkBudget, NoiseSpec,
                       SymbolMatrix, add_awgn, rx_power, synthesize_diag,
                       synthesize_grid, target_amplitudes)

@@ -3,13 +3,11 @@
 Counts complex multiplications on each estimator's own naive transform path
 (one length-n DFT needs n^2; the 2-D pass needs n row DFTs plus n column
 IDFTs, 2*n^3 total). Counting is by explicit counter increments in the
-kernels, never hardware counters or wall time, so the numbers are portable
-and exact: the grid/diagonal ratio is 2n for every n.
+naive method, never hardware counters or wall time, so the numbers are
+portable and exact: the grid/diagonal ratio is 2n for every n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +19,8 @@ from .transforms import MultiplyCounter
 ALGORITHMS = ("grid2d", "diag")
 
 
-@dataclass(frozen=True)
-class OpCount:
-    complex_multiplies: int
-    transform_label: str
-    n: int
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[OpCount, ...]
-    ratio_counted: dict[int, float]
-
-
-def count_ops(algorithm: str, n: int) -> OpCount:
-    """Run the estimator's naive transform on an n-point block and count."""
+def count_ops(algorithm: str, n: int) -> int:
+    """Run the estimator's naive transform on an n-point block; return the multiplies."""
     if n < 2:
         raise ValueError("n must be >= 2")
     counter = MultiplyCounter()
@@ -45,15 +30,9 @@ def count_ops(algorithm: str, n: int) -> OpCount:
         diag_spectrum(DiagonalVector(np.ones(n)), method="naive", counter=counter)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    return OpCount(complex_multiplies=counter.count, transform_label=algorithm, n=n)
+    return counter.count
 
 
-def run_bench(sizes: list[int]) -> BenchReport:
-    """Counted multiplies per algorithm and size, and the grid/diag ratio."""
-    rows: list[OpCount] = []
-    ratio_counted: dict[int, float] = {}
-    for n in sizes:
-        grid, diag = count_ops("grid2d", n), count_ops("diag", n)
-        rows += [grid, diag]
-        ratio_counted[n] = grid.complex_multiplies / diag.complex_multiplies
-    return BenchReport(rows=tuple(rows), ratio_counted=ratio_counted)
+def run_bench(sizes: list[int]) -> list[tuple[int, int, int]]:
+    """One (n, grid2d multiplies, diag multiplies) per size, in the order given."""
+    return [(n, count_ops("grid2d", n), count_ops("diag", n)) for n in sizes]

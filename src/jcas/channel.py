@@ -98,8 +98,6 @@ def rx_power(budget: LinkBudget, cfg: OfdmConfig, target: Target) -> float:
     The f_c^2 factor is kept as-is; only power ratios at fixed carrier are
     consumed downstream, where it cancels against lambda^2.
     """
-    if target.range_m <= 0:
-        raise ValueError("target range must be > 0 for the radar equation")
     lam = cfg.wavelength
     return (budget.tx_power * budget.tx_gain * budget.rx_gain
             * target.rcs_m2 * lam ** 2
@@ -131,9 +129,6 @@ def _check_synth_inputs(targets: list[Target], amps: np.ndarray) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     if amps.shape != (len(targets),):
         raise ValueError("amps must have one entry per target")
-    for t in targets:
-        if t.range_m <= 0:
-            raise ValueError("target range must be > 0 for synthesis")
     return amps
 
 

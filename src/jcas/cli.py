@@ -179,17 +179,18 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.n or [64, 128, 256]
-    report = bench_mod.run_bench(sizes)
+    counts = bench_mod.run_bench(sizes)
+    rows = [(name, n, count) for n, grid, diag in counts
+            for name, count in (("grid2d", grid), ("diag", diag))]
     print(f"{'algorithm':<12}{'n':>6}{'multiplies':>14}")
-    for row in report.rows:
-        print(f"{row.transform_label:<12}{row.n:>6}{row.complex_multiplies:>14}")
-    for n in sizes:
-        print(f"n={n}: counted ratio {fmt(report.ratio_counted[n])}")
+    for name, n, count in rows:
+        print(f"{name:<12}{n:>6}{count:>14}")
+    for n, grid, diag in counts:
+        print(f"n={n}: counted ratio {fmt(grid / diag)}")
     if args.csv is not None:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         _write_csv(Path(args.csv), "algorithm,n,counted_multiplies",
-                   [f"{r.transform_label},{r.n},{r.complex_multiplies}"
-                    for r in report.rows])
+                   [f"{name},{n},{count}" for name, n, count in rows])
     return 0
 
 

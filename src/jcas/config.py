@@ -175,8 +175,6 @@ class Target:
     """One point reflector.
 
     Positive radial velocity means the target recedes (range increasing).
-    Range may be zero at construction but such targets are rejected by the
-    channel model.
     """
 
     range_m: float
@@ -184,7 +182,9 @@ class Target:
     rcs_m2: float
 
     def __post_init__(self) -> None:
-        if self.range_m < 0:
-            raise ValueError(f"target range must be >= 0, got {self.range_m}")
-        if self.rcs_m2 <= 0:
-            raise ValueError(f"target RCS must be > 0, got {self.rcs_m2}")
+        if not 0 < self.range_m < math.inf:
+            raise ValueError(f"target range must be > 0 and finite, got {self.range_m}")
+        if not math.isfinite(self.radial_velocity_mps):
+            raise ValueError(f"target velocity must be finite, got {self.radial_velocity_mps}")
+        if not 0 < self.rcs_m2 < math.inf:
+            raise ValueError(f"target RCS must be > 0 and finite, got {self.rcs_m2}")

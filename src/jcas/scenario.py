@@ -24,6 +24,7 @@ and finite, but nothing reads it: frame times are the measurement times.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,24 +159,37 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+# A line's text before its comment: a "#" inside double quotes is text.
+_BEFORE_COMMENT = re.compile(r'[^"#]*(?:"[^"]*"[^"#]*)*')
+
+
 def _parse_sections(text: str) -> list[tuple[str, dict]]:
+    """The file's sections in order; only [[vehicle]] may repeat, no key may."""
     sections: list[tuple[str, dict]] = []
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        code = _BEFORE_COMMENT.match(raw)
+        if raw.startswith('"', code.end()):
+            raise ValueError(f"line {lineno}: unterminated quoted value")
+        line = code.group().strip()
         if not line:
             continue
         if line.startswith("["):
             name = line.strip("[]").strip()
             if not name:
                 raise ValueError(f"line {lineno}: empty section header")
+            if name != "vehicle" and any(name == seen for seen, _ in sections):
+                raise ValueError(f"line {lineno}: section [{name}] repeated")
             current = {}
             sections.append((name, current))
         elif "=" in line:
             if current is None:
                 raise ValueError(f"line {lineno}: key outside any section")
             key, _, value = line.partition("=")
-            current[key.strip()] = _parse_value(value)
+            key = key.strip()
+            if key in current:
+                raise ValueError(f"line {lineno}: key {key!r} repeated in [{name}]")
+            current[key] = _parse_value(value)
         else:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
     return sections

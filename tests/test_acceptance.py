@@ -26,7 +26,7 @@ from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
 from jcas.tracking import TrackTable, resolve_ambiguity
-from jcas.transforms import fast_dft, naive_dft, naive_idft
+from jcas.transforms import dft, idft
 from oracles import brute_2d, brute_dft, power_ratio_db
 
 CFG = OfdmConfig.table1()
@@ -305,15 +305,15 @@ def test_criterion_9_round_trip_both_estimators():
 def test_criterion_10_complexity_ratio_and_transform_agreement():
     with _criterion(10, "counted-multiply ratio 2n; naive vs fast"):
         for n in (64, 128, 256, 480):
-            g = count_ops("grid2d", n).complex_multiplies
-            d = count_ops("diag", n).complex_multiplies
+            g = count_ops("grid2d", n)
+            d = count_ops("diag", n)
             assert g == 2 * n ** 3
             assert d == n ** 2
             assert g / d == 2 * n
         rng = np.random.default_rng(0)
         x = rng.standard_normal(480) + 1j * rng.standard_normal(480)
-        rel = (np.max(np.abs(naive_dft(x) - fast_dft(x)))
-               / np.max(np.abs(fast_dft(x))))
+        rel = (np.max(np.abs(dft(x, method="naive") - dft(x)))
+               / np.max(np.abs(dft(x))))
         assert rel < 1e-6
 
 
@@ -322,9 +322,9 @@ def test_criterion_11_oracle_equivalence_and_parseval():
         rng = np.random.default_rng(3)
         for n in (8, 32, 64):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ours = naive_dft(x)
+            ours = dft(x, method="naive")
             brute = brute_dft(x)
-            fast = fast_dft(x)
+            fast = dft(x)
             scale = np.max(np.abs(brute))
             assert np.max(np.abs(ours - brute)) / scale < 1e-9
             assert np.max(np.abs(fast - brute)) / scale < 1e-9
@@ -332,7 +332,7 @@ def test_criterion_11_oracle_equivalence_and_parseval():
             assert np.sum(np.abs(ours) ** 2) == pytest.approx(
                 n * np.sum(np.abs(x) ** 2), rel=1e-9)
         c = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-        ours2 = naive_idft(naive_dft(c, axis=1), axis=0)
+        ours2 = idft(dft(c, axis=1, method="naive"), axis=0, method="naive")
         brute2 = brute_2d(c)
         assert np.max(np.abs(ours2 - brute2)) / np.max(np.abs(brute2)) < 1e-9
         # rows gain N_t, columns lose N_f: energy ratio N_t/N_f = 1 here

@@ -587,6 +587,56 @@ def test_bench_csv_creates_missing_directory(tmp_path):
     assert csv_path.read_text().startswith("algorithm,n,counted_multiplies\n")
 
 
+BENCH_DEFAULT_OUT = """\
+algorithm        n    multiplies
+grid2d          64        524288
+diag            64          4096
+grid2d         128       4194304
+diag           128         16384
+grid2d         256      33554432
+diag           256         65536
+n=64: counted ratio 128
+n=128: counted ratio 256
+n=256: counted ratio 512
+"""
+
+BENCH_16_16_OUT = """\
+algorithm        n    multiplies
+grid2d          16          8192
+diag            16           256
+grid2d          16          8192
+diag            16           256
+n=16: counted ratio 32
+n=16: counted ratio 32
+"""
+
+BENCH_16_480_CSV = """\
+algorithm,n,counted_multiplies
+grid2d,16,8192
+diag,16,256
+grid2d,480,221184000
+diag,480,230400
+"""
+
+
+@pytest.mark.parametrize("sizes,expected", [([], BENCH_DEFAULT_OUT),
+                                            (["16", "16"], BENCH_16_16_OUT)],
+                         ids=["default", "repeated-size"])
+def test_bench_full_stdout(sizes, expected, capsys):
+    # A repeated size prints its rows and its ratio line once per --n.
+    argv = ["bench"] + [a for n in sizes for a in ("--n", n)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_bench_full_csv(tmp_path, capsys):
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--n", "16", "--n", "480", "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text() == BENCH_16_480_CSV
+    assert capsys.readouterr().out.endswith("n=16: counted ratio 32\n"
+                                            "n=480: counted ratio 960\n")
+
+
 @pytest.mark.parametrize("option", [["--repeats", "3"], ["--counted-only"]],
                          ids=["repeats", "counted-only"])
 def test_bench_rejects_timing_options(option, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,3 +94,9 @@ def test_negative_target_range_rejected(r):
 def test_zero_rcs_rejected():
     with pytest.raises(ValueError):
         Target(range_m=10.0, radial_velocity_mps=0.0, rcs_m2=0.0)
+
+
+@pytest.mark.parametrize("range_m,velocity", [(math.nan, 0.0), (10.0, math.inf)])
+def test_non_finite_target_rejected(range_m, velocity):
+    with pytest.raises(ValueError):
+        Target(range_m, velocity, 1.0)

@@ -142,3 +142,26 @@ def test_scene_without_vehicles_rejected(tmp_path):
     path.write_text("[scene]\nframe_interval_s = 0.03\n")
     with pytest.raises(ValueError, match="no"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("extra,match", [
+    ("[ofdm]\nsubcarrier_spacing = 60000.0\n[ofdm]\n", r"\[ofdm\]"),
+    ("[scene]\n", r"\[scene\]"),
+    ("[[vehicle]]\nname = \"x\"\nname = \"y\"\n", "line 21: key 'name'"),
+])
+def test_repeated_section_or_key_rejected(tmp_path, extra, match):
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT + extra)
+    with pytest.raises(ValueError, match=match):
+        load_scene(path)
+
+
+def test_hash_inside_quotes_is_text(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT.replace('"lead"', '"A#1"')
+                    .replace('lane = "center"', 'lane = "left" # note'))
+    lead, _ = load_scene(path).scene.vehicles
+    assert (lead.name, lead.lane) == ("A#1", "left")
+    path.write_text(SCENE_TEXT.replace('"lead"', '"A'))
+    with pytest.raises(ValueError, match="unterminated"):
+        load_scene(path)
