@@ -103,6 +103,11 @@ def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
     check_unambiguous_range(scene, cfg)
+    times = scene.measurement_times_s
+    for a, b in zip(times, times[1:]):  # fmt is monotonic, so a clash is adjacent
+        if fmt(a) == fmt(b):
+            raise ValueError(f"measurement times {a!r} and {b!r} both print as "
+                             f"{fmt(a)}, so one frame's files would overwrite the other's")
     run_diag = args.estimator in ("diag", "both")
     run_grid = args.estimator in ("grid2d", "both")
     if run_diag:

@@ -8,6 +8,7 @@ and range/velocity only through the bin maps defined here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
@@ -44,12 +45,13 @@ class OfdmConfig:
     speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        for name in ("carrier_freq", "subcarrier_spacing", "speed_of_light"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        for name, v in self.__dict__.items():
+            # A bool is an int to Python, yet "carrier_freq = true" is no 1 Hz.
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not 0 < v <= sys.float_info.max):
+                raise ValueError(f"{name} must be a positive, finite number, got {v!r}")
         for name in ("n_subcarriers", "n_symbols", "n_sensing_freq", "n_sensing_time"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} must be a positive integer")
         for axis, total, comb in (("frequency", self.n_subcarriers, self.n_sensing_freq),
                                   ("time", self.n_symbols, self.n_sensing_time)):

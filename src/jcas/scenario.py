@@ -4,7 +4,7 @@ A scene holds vehicles with an initial range ahead of the ego car, a
 constant relative speed (positive = pulling away), and an RCS. Lateral lane
 offset is metadata only; ranges evolve as initial_range + speed * t.
 
-Scene files are plain sectioned key-value text::
+Scene files are TOML 1.0, read by the standard library's tomllib::
 
     [scene]
     measurement_times_s = [0.0, 0.2, 0.6]
@@ -24,7 +24,7 @@ and finite, but nothing reads it: frame times are the measurement times.
 from __future__ import annotations
 
 import math
-import re
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,61 +138,22 @@ class SceneFile:
     ofdm: OfdmConfig | None = None
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        return tuple(_parse_value(v) for v in inner.split(",")) if inner else ()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        f = float(text)
-    except ValueError:
-        return text
-    return int(f) if f.is_integer() and "." not in text and "e" not in text.lower() else f
-
-
 def _number(key: str, value) -> float:
-    """A scene number as a float; a list where a number belongs is refused."""
-    if isinstance(value, tuple):
-        raise ValueError(f"{key} must be a number, got a list")
-    return float(value)
+    """A scene number as a float; a bool, string, date, list or table is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} must be finite") from None
 
 
-# A line's text before its comment: a "#" inside double quotes is text.
-_BEFORE_COMMENT = re.compile(r'[^"#]*(?:"[^"]*"[^"#]*)*')
-
-
-def _parse_sections(text: str) -> list[tuple[str, dict]]:
-    """The file's sections in order; only [[vehicle]] may repeat, no key may."""
-    sections: list[tuple[str, dict]] = []
-    current: dict | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        code = _BEFORE_COMMENT.match(raw)
-        if raw.startswith('"', code.end()):
-            raise ValueError(f"line {lineno}: unterminated quoted value")
-        line = code.group().strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            name = line.strip("[]").strip()
-            if not name:
-                raise ValueError(f"line {lineno}: empty section header")
-            if name != "vehicle" and any(name == seen for seen, _ in sections):
-                raise ValueError(f"line {lineno}: section [{name}] repeated")
-            current = {}
-            sections.append((name, current))
-        elif "=" in line:
-            if current is None:
-                raise ValueError(f"line {lineno}: key outside any section")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in current:
-                raise ValueError(f"line {lineno}: key {key!r} repeated in [{name}]")
-            current[key] = _parse_value(value)
-        else:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-    return sections
+def _table(doc: dict, name: str) -> dict:
+    """Section [name] of the file; {} if the file has none."""
+    table = doc.get(name, {})
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be one table, written [{name}]")
+    return table
 
 
 def _vehicle_from(entry: dict) -> VehicleSpec:
@@ -200,7 +161,9 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
     if "rcs_dbsm" in entry:
         if "rcs_m2" in entry:
             raise ValueError("give rcs_m2 or rcs_dbsm, not both")
-        entry["rcs_m2"] = 10.0 ** (_number("rcs_dbsm", entry.pop("rcs_dbsm")) / 10.0)
+        dbsm = _number("rcs_dbsm", entry.pop("rcs_dbsm"))
+        # 10 ** (dbsm / 10) overflows near 3083 dBsm; VehicleSpec refuses the inf.
+        entry["rcs_m2"] = 10.0 ** (dbsm / 10.0) if dbsm < 3000 else math.inf
     try:
         spec = VehicleSpec(
             name=str(entry.pop("name")),
@@ -217,33 +180,37 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
 
 
 def load_scene(path: str | Path) -> SceneFile:
-    """Parse a scene file; raises ValueError on any malformed content."""
-    text = Path(path).read_text()
-    scene_kw: dict = {}
-    vehicles: list[VehicleSpec] = []
-    ofdm: OfdmConfig | None = None
-    for name, entry in _parse_sections(text):
-        if name == "scene":
-            scene_kw = entry
-        elif name == "vehicle":
-            vehicles.append(_vehicle_from(entry))
-        elif name == "ofdm":
-            try:
-                ofdm = OfdmConfig(**(OfdmConfig.table1().__dict__ | entry))
-            except TypeError as exc:
-                raise ValueError(f"bad [ofdm] section: {exc}") from None
-        else:
-            raise ValueError(f"unknown section [{name}]")
-    if not vehicles:
+    """Parse a TOML scene file; raises ValueError on any malformed content.
+
+    A TOML syntax error (TOMLDecodeError, naming its line and column) and a
+    file that is not UTF-8 (UnicodeDecodeError) are ValueErrors too.
+    """
+    with open(path, "rb") as f:
+        doc = tomllib.load(f)
+    unknown = sorted(doc.keys() - {"scene", "vehicle", "ofdm"})
+    if unknown:
+        raise ValueError(f"unknown section [{unknown[0]}]")
+    blocks = doc.get("vehicle", [])
+    if not isinstance(blocks, list) or not all(isinstance(b, dict) for b in blocks):
+        raise ValueError("vehicles must be [[vehicle]] blocks")
+    if not blocks:
         raise ValueError("scene file defines no [[vehicle]] blocks")
+    vehicles = tuple(_vehicle_from(b) for b in blocks)
+    ofdm: OfdmConfig | None = None
+    if "ofdm" in doc:
+        try:
+            ofdm = OfdmConfig(**(OfdmConfig.table1().__dict__ | _table(doc, "ofdm")))
+        except TypeError as exc:
+            raise ValueError(f"bad [ofdm] section: {exc}") from None
+    scene_kw = dict(_table(doc, "scene"))
     interval = scene_kw.pop("frame_interval_s", None)
     if interval is not None and not 0 < _number("frame_interval_s", interval) < math.inf:
         raise ValueError("frame_interval_s must be positive and finite")
-    times = scene_kw.pop("measurement_times_s", (0.0,))
-    if not isinstance(times, tuple):
-        times = (times,)
+    times = scene_kw.pop("measurement_times_s", [0.0])
+    if not isinstance(times, list):
+        times = [times]
     scene = Scene(
-        vehicles=tuple(vehicles),
+        vehicles=vehicles,
         measurement_times_s=tuple(_number("measurement_times_s", t) for t in times),
     )
     if scene_kw:

@@ -457,7 +457,9 @@ def test_non_finite_scene_numbers_refused_before_output(tmp_path, capsys, comman
     ("measurement_times_s = [0.0, 0.2]", "measurement_times_s = [0.0, [0.1]]"),
     ("initial_range_m = 40.0", "initial_range_m = [10, 2]"),
     ("measurement_times_s = [0.0, 0.2]", "measurement_times_s = []"),
-], ids=["time-list", "range-list", "no-times"])
+    ("initial_range_m = 40.0", "initial_range_m = 2020-01-01"),
+    ("relative_speed_mps = 5.0", "relative_speed_mps = true"),
+], ids=["time-list", "range-list", "no-times", "range-date", "speed-bool"])
 def test_malformed_scene_numbers_refused_before_output(tmp_path, capsys, command,
                                                        old, new):
     # float() of a list raises TypeError, which main does not catch, and an
@@ -469,6 +471,41 @@ def test_malformed_scene_numbers_refused_before_output(tmp_path, capsys, command
     assert main([command, *argv]) == 1
     key = new.split(" =")[0]
     assert capsys.readouterr().err.startswith(f"error: {key} must")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (ONE_CAR_SCENE.replace("[scene]", "[scene"), "(at line 2, column"),
+    (ONE_CAR_SCENE.replace("[[vehicle]]", "[vehicle]]"), "(at line 4, column"),
+    (ONE_CAR_SCENE.replace("initial_range_m = 40.0", "initial_range_m ="),
+     "(at line 6, column"),
+    (ONE_CAR_SCENE.replace("[[vehicle]]", "[vehicle]"), "[[vehicle]] blocks"),
+    ("vehicle = [1]" + ONE_CAR_SCENE.split("[[vehicle]]")[0], "[[vehicle]] blocks"),
+    (ONE_CAR_SCENE.replace("[scene]", "[[scene]]"), "scene must be one table"),
+    (ONE_CAR_SCENE + "[[ofdm]]\nn_sensing_freq = 240\n", "ofdm must be one table"),
+], ids=["open-header", "extra-bracket", "empty-value", "single-bracket-vehicle",
+        "vehicle-list", "scene-array", "ofdm-array"])
+def test_malformed_scene_structure_refused_before_output(tmp_path, capsys, text, message):
+    # A syntax error names its line; a valid TOML table or array in the wrong
+    # shape names its section.
+    scene = tmp_path / "bad.cfg"
+    scene.write_text(text)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_times_that_print_alike(tmp_path, capsys):
+    # Both times print as 0.1, so the second frame's image and rdmap files
+    # would overwrite the first's, and detections.csv would show 0.1 twice.
+    scene = tmp_path / "close.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace("[0.0, 0.2]", "[0.1000001, 0.1000002]"))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--estimator", "both",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "0.1000001 and 0.1000002 both print as 0.1" in err
     assert not out.exists()
 
 

@@ -77,6 +77,13 @@ def test_fields_are_the_independent_values(table1):
     assert dataclasses.replace(table1, n_sensing_freq=240, n_sensing_time=240).n_diag == 240
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OfdmConfig)])
+def test_bool_field_refused(table1, field):
+    # bool is an int subclass: "carrier_freq = true" would read as 1 Hz.
+    with pytest.raises(ValueError, match=f"{field} must be a positive, finite number, got True"):
+        dataclasses.replace(table1, **{field: True})
+
+
 def test_diagonal_validation():
     cfg = OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
                      n_subcarriers=3360, n_symbols=3360,

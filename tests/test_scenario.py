@@ -1,4 +1,9 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jcas.scenario import (Scene, VehicleSpec, builtin_scene, load_scene,
                            targets_at)
@@ -115,6 +120,13 @@ n_sensing_time = 3360
     ("initial_range_m = 25.0", "initial_range_m = [10, 2]"),
     ("frame_interval_s = 0.030", "frame_interval_s = [0.03]"),
     ("[0.0, 0.2]", "[]"),                           # no measurement time
+    # spellings TOML 1.0 refuses
+    ('lane = "center"', "lane = center"),           # unquoted string
+    ("initial_range_m = 25.0", 'initial_range_m = "25.0"'),  # quoted number
+    ("initial_range_m = 25.0", "initial_range_m = .5"),
+    ("initial_range_m = 25.0", "initial_range_m = 25."),
+    ("rcs_m2 = 2.5", "rcs_m2 = NaN"),
+    ("rcs_dbsm = 5.0", "rcs_dbsm = 4000.0"),        # 10 ** 400 overflows a float
 ])
 def test_malformed_scene_files(tmp_path, mutation):
     old, new = mutation
@@ -145,10 +157,10 @@ def test_scene_without_vehicles_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("extra,match", [
-    ("[ofdm]\nsubcarrier_spacing = 60000.0\n[ofdm]\n", r"\[ofdm\]"),
-    ("[scene]\n", r"\[scene\]"),
-    ("[[vehicle]]\nname = \"x\"\nname = \"y\"\n", "line 21: key 'name'"),
-])
+    ("[ofdm]\nsubcarrier_spacing = 60000.0\n[ofdm]\n", r"\('ofdm',\) twice"),
+    ("[scene]\n", r"\('scene',\) twice"),
+    ("[[vehicle]]\nname = \"x\"\nname = \"y\"\n", r"overwrite a value \(at line 21,"),
+], ids=["ofdm-section", "scene-section", "vehicle-key"])
 def test_repeated_section_or_key_rejected(tmp_path, extra, match):
     path = tmp_path / "scene.cfg"
     path.write_text(SCENE_TEXT + extra)
@@ -163,5 +175,63 @@ def test_hash_inside_quotes_is_text(tmp_path):
     lead, _ = load_scene(path).scene.vehicles
     assert (lead.name, lead.lane) == ("A#1", "left")
     path.write_text(SCENE_TEXT.replace('"lead"', '"A'))
-    with pytest.raises(ValueError, match="unterminated"):
+    with pytest.raises(ValueError, match=r"Illegal character '\\n' \(at line 8,"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("value", [
+    "true", '"25.0"', "1979-05-27", "07:32:00", "1979-05-27T07:32:00Z", "{ m = 25.0 }",
+    "1" + "0" * 400,
+])
+def test_number_refuses_what_is_not_an_int_or_float(tmp_path, value):
+    # float(True) is 1.0, and float() of a date raises TypeError, which main
+    # does not catch.
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT.replace("initial_range_m = 25.0", f"initial_range_m = {value}"))
+    with pytest.raises(ValueError, match="initial_range_m must"):
+        load_scene(path)
+
+
+_KEYS = st.sampled_from(["a", "name", "rcs_m2"])
+_TOML_VALUES = st.recursive(
+    st.one_of(
+        st.sampled_from(["true", "false", "nan", "inf", "-inf", "-0.0"]),
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.text(max_size=8).map(json.dumps),
+        st.dates().map(lambda d: d.isoformat()),
+        st.times().map(lambda t: t.isoformat()),
+        st.datetimes().map(lambda d: d.isoformat()),
+    ),
+    lambda inner: (st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+                   | st.dictionaries(_KEYS, inner, max_size=3).map(
+                       lambda d: "{" + ", ".join(f"{k} = {v}" for k, v in d.items()) + "}")),
+    max_leaves=6,
+)
+_ASSIGNED = [line for line in SCENE_TEXT.splitlines() if " = " in line]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=st.sampled_from(_ASSIGNED), value=_TOML_VALUES)
+def test_any_toml_value_loads_or_raises_value_error(tmp_path, line, value):
+    # The CLI catches ValueError only; anything else would be a traceback.
+    path = tmp_path / "scene.cfg"
+    key = line.split(" = ")[0]
+    path.write_text(SCENE_TEXT.replace(line, f"{key} = {value}", 1))
+    try:
+        load_scene(path)
+    except ValueError:
+        pass
+
+
+def test_readme_scene_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"## Scene files\n\n```toml\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "scene.toml"
+    path.write_text(example)
+    sf = load_scene(path)
+    (lead,) = sf.scene.vehicles
+    assert (lead.name, lead.rcs_m2, lead.lane) == ("lead", 3.16, "center")
+    assert sf.scene.measurement_times_s == (0.0, 0.2, 0.6)
+    assert sf.ofdm.subcarrier_spacing == 60000.0
+    assert sf.ofdm.n_sensing_freq == 480
