@@ -14,6 +14,16 @@ from dataclasses import dataclass
 SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
 
 
+def finite_number(name: str, v) -> float:
+    """v as a float; a bool, a non-number, nan, inf and an int beyond the
+    float range are refused."""
+    # A bool is an int to Python, yet "carrier_freq = true" is no 1 Hz.
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not -sys.float_info.max <= v <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class OfdmConfig:
     """OFDM block geometry and RF constants; every other figure is derived.
@@ -46,10 +56,8 @@ class OfdmConfig:
 
     def __post_init__(self) -> None:
         for name, v in self.__dict__.items():
-            # A bool is an int to Python, yet "carrier_freq = true" is no 1 Hz.
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not 0 < v <= sys.float_info.max):
-                raise ValueError(f"{name} must be a positive, finite number, got {v!r}")
+            if finite_number(name, v) <= 0:
+                raise ValueError(f"{name} must be positive, got {v!r}")
         for name in ("n_subcarriers", "n_symbols", "n_sensing_freq", "n_sensing_time"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} must be a positive integer")

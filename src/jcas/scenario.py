@@ -28,7 +28,7 @@ import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import OfdmConfig, Target, capabilities
+from .config import OfdmConfig, Target, capabilities, finite_number
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,6 @@ class SceneFile:
     ofdm: OfdmConfig | None = None
 
 
-def _number(key: str, value) -> float:
-    """A scene number as a float; a bool, string, date, list or table is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} must be finite") from None
-
-
 def _table(doc: dict, name: str) -> dict:
     """Section [name] of the file; {} if the file has none."""
     table = doc.get(name, {})
@@ -161,15 +151,18 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
     if "rcs_dbsm" in entry:
         if "rcs_m2" in entry:
             raise ValueError("give rcs_m2 or rcs_dbsm, not both")
-        dbsm = _number("rcs_dbsm", entry.pop("rcs_dbsm"))
-        # 10 ** (dbsm / 10) overflows near 3083 dBsm; VehicleSpec refuses the inf.
-        entry["rcs_m2"] = 10.0 ** (dbsm / 10.0) if dbsm < 3000 else math.inf
+        dbsm = finite_number("rcs_dbsm", entry.pop("rcs_dbsm"))
+        try:
+            entry["rcs_m2"] = 10.0 ** (dbsm / 10.0)
+        except OverflowError:
+            raise ValueError(f"rcs_dbsm = {dbsm:g} overflows the float range") from None
     try:
         spec = VehicleSpec(
             name=str(entry.pop("name")),
-            initial_range_m=_number("initial_range_m", entry.pop("initial_range_m")),
-            relative_speed_mps=_number("relative_speed_mps", entry.pop("relative_speed_mps")),
-            rcs_m2=_number("rcs_m2", entry.pop("rcs_m2")),
+            initial_range_m=finite_number("initial_range_m", entry.pop("initial_range_m")),
+            relative_speed_mps=finite_number("relative_speed_mps",
+                                             entry.pop("relative_speed_mps")),
+            rcs_m2=finite_number("rcs_m2", entry.pop("rcs_m2")),
             lane=str(entry.pop("lane")) if "lane" in entry else None,
         )
     except KeyError as exc:
@@ -204,14 +197,14 @@ def load_scene(path: str | Path) -> SceneFile:
             raise ValueError(f"bad [ofdm] section: {exc}") from None
     scene_kw = dict(_table(doc, "scene"))
     interval = scene_kw.pop("frame_interval_s", None)
-    if interval is not None and not 0 < _number("frame_interval_s", interval) < math.inf:
+    if interval is not None and finite_number("frame_interval_s", interval) <= 0:
         raise ValueError("frame_interval_s must be positive and finite")
     times = scene_kw.pop("measurement_times_s", [0.0])
     if not isinstance(times, list):
         times = [times]
     scene = Scene(
         vehicles=vehicles,
-        measurement_times_s=tuple(_number("measurement_times_s", t) for t in times),
+        measurement_times_s=tuple(finite_number("measurement_times_s", t) for t in times),
     )
     if scene_kw:
         raise ValueError(f"unknown scene keys: {sorted(scene_kw)}")

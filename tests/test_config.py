@@ -80,7 +80,7 @@ def test_fields_are_the_independent_values(table1):
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OfdmConfig)])
 def test_bool_field_refused(table1, field):
     # bool is an int subclass: "carrier_freq = true" would read as 1 Hz.
-    with pytest.raises(ValueError, match=f"{field} must be a positive, finite number, got True"):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number, got True"):
         dataclasses.replace(table1, **{field: True})
 
 
