@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import numpy as np
@@ -595,6 +596,41 @@ def test_capabilities_alloc_csv(tmp_path, capsys):
     assert len(grid) == 1 + 480 * 480
     assert len(diag) == 1 + 480
     assert diag[3] == "14,14"
+
+
+TABLE1_CAPABILITIES = """\
+range resolution [m]            0.372024
+velocity resolution [m/s]       0.191327
+max unambiguous range [m]       178.571
+max unambiguous velocity [m/s]  91.8367
+grid sensing overhead           0.0204082
+diagonal sensing overhead       4.2517e-05
+"""
+
+
+def test_capabilities_output_pinned(tmp_path, capsys):
+    # The whole stdout and the --alloc-csv files, byte for byte.
+    assert main(["capabilities", "--alloc-csv", str(tmp_path / "t1")]) == 0
+    assert capsys.readouterr().out == TABLE1_CAPABILITIES
+    assert main(["capabilities", "--scene", "fig4"]) == 0
+    assert capsys.readouterr().out == TABLE1_CAPABILITIES
+    scene = tmp_path / "oblong.cfg"
+    scene.write_text(ONE_CAR_SCENE + "[ofdm]\nn_sensing_freq = 240\n")
+    assert main(["capabilities", "--scene", str(scene),
+                 "--alloc-csv", str(tmp_path / "oblong")]) == 0
+    assert capsys.readouterr().out == TABLE1_CAPABILITIES.replace(
+        "178.571", "89.2857").replace("0.0204082", "0.0102041").replace(
+        "4.2517e-05", "n/a")
+    digests = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*/*.csv")}
+    assert digests == {
+        "t1/allocation_grid.csv":
+            "e2e45c544b4dc459418fc43321135ec98001ce9d7346a78523a87587513f3e45",
+        "t1/allocation_diagonal.csv":
+            "aa3d896f01c4e2d88832af3ffc720b50a1c2a18c9e9f2bee71aaf4aefff0dd19",
+        "oblong/allocation_grid.csv":
+            "507d8f03e3f6186383628c5048c96283248fd8b9ab87ff424db521263e700558",
+    }
 
 
 def test_bench_counted_only(capsys):
