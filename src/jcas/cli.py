@@ -8,7 +8,7 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-All numeric output is written with 6 significant digits and '.' decimals;
+Numbers are written with 6 significant digits and '.' decimals;
 identical configuration and seed give byte-identical files.
 """
 
@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .allocation import AllocationKind, build_allocation, overhead
 from .channel import (DiagonalModel, LinkBudget, NoiseSpec, synthesize_diag,
                       synthesize_grid, target_amplitudes)
-from .config import OfdmConfig, capabilities
+from .config import OfdmConfig, capabilities, overhead, sensing_positions
 from .diag_estimator import WINDOW_MODES, PeakPair, RadarImage, process_frame
-from .grid_estimator import RangeDopplerMap, detect_peaks_2d, range_doppler_map
+from .grid_estimator import detect_peaks_2d, range_doppler_map
 from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
                        targets_at)
 from .tracking import TrackTable, resolve_ambiguity
@@ -36,10 +35,10 @@ GRID_THRESHOLD_DB = -30.0
 
 
 def fmt(x) -> str:
-    """Fixed 6-significant-digit rendering shared by every numeric output.
+    """Fixed 6-significant-digit rendering of one number.
 
-    "%d" and "%.6g" render ints and floats to the same text; the CSV writers
-    use them to format many cells with one % operation.
+    The CSV writers format many cells with one "%d" / "%.6g" template
+    instead; those render ints and floats to the same text.
     """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -69,7 +68,7 @@ def write_image_csv(path: Path, img: RadarImage) -> None:
     path.write_text("bin,magnitude_db\n" + ("%d,%.6g\n" * n) % tuple(args))
 
 
-def write_rdmap_csv(path: Path, rd: RangeDopplerMap) -> None:
+def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
     Rows go out one map row (fixed p, every q) at a time, so no more than
@@ -158,17 +157,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_capabilities(args: argparse.Namespace) -> int:
     cfg = OfdmConfig.table1() if args.scene is None else _load_scene_arg(args.scene)[1]
     caps = capabilities(cfg)
-    grid = build_allocation(cfg, AllocationKind.GRID)
     # A non-square comb has no diagonal; its grid figures still print.
-    diag = (build_allocation(cfg, AllocationKind.DIAGONAL)
-            if cfg.n_sensing_freq == cfg.n_sensing_time else None)
+    square = cfg.n_sensing_freq == cfg.n_sensing_time
     lines = [
         ("range resolution [m]", fmt(caps.range_resolution)),
         ("velocity resolution [m/s]", fmt(caps.velocity_resolution)),
         ("max unambiguous range [m]", fmt(caps.max_unambiguous_range)),
         ("max unambiguous velocity [m/s]", fmt(caps.max_unambiguous_velocity)),
-        ("grid sensing overhead", fmt(overhead(grid))),
-        ("diagonal sensing overhead", "n/a" if diag is None else fmt(overhead(diag))),
+        ("grid sensing overhead", fmt(overhead(cfg, diagonal=False))),
+        ("diagonal sensing overhead", fmt(overhead(cfg, diagonal=True)) if square else "n/a"),
     ]
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
@@ -176,9 +173,9 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
     if args.alloc_csv is not None:
         out = Path(args.alloc_csv)
         out.mkdir(parents=True, exist_ok=True)
-        for alloc in (grid,) if diag is None else (grid, diag):
-            _write_csv(out / f"allocation_{alloc.kind.value}.csv", "m,n",
-                       [f"{m},{n}" for m, n in alloc.entries])
+        for diagonal in (False, True) if square else (False,):
+            _write_csv(out / f"allocation_{'diagonal' if diagonal else 'grid'}.csv", "m,n",
+                       [f"{m},{n}" for m, n in sensing_positions(cfg, diagonal)])
     return 0
 
 

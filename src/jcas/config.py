@@ -1,4 +1,4 @@
-"""OFDM system configuration, physical constants, and derived sensing capabilities.
+"""OFDM system configuration, physical constants, sensing capabilities and layouts.
 
 All other modules take an :class:`OfdmConfig` as their single source of truth
 for physics constants and block geometry, and convert between spectral bins
@@ -164,6 +164,29 @@ def tone_pair_bins(cfg: OfdmConfig, range_m: float,
     l_r = range_bin(cfg, range_m)
     l_d = doppler_bin(cfg, velocity_mps)
     return abs(l_r - l_d), l_r + l_d
+
+
+def sensing_positions(cfg: OfdmConfig, diagonal: bool) -> list[tuple[int, int]]:
+    """(subcarrier, symbol) positions of the sensing signals.
+
+    The grid comb's are row-major over (frequency step, time step); the
+    diagonal's are (k*L_f, k*L_t), ascending. Index pairs, not a dense mask:
+    the diagonal holds only N cells of the N_c x N_sym block.
+    """
+    l_f, l_t = cfg.freq_comb_spacing, cfg.time_comb_spacing
+    if diagonal:
+        cfg.validate_diagonal()
+        return [(k * l_f, k * l_t) for k in range(cfg.n_diag)]
+    return [(i * l_f, j * l_t) for i in range(cfg.n_sensing_freq)
+            for j in range(cfg.n_sensing_time)]
+
+
+def overhead(cfg: OfdmConfig, diagonal: bool) -> float:
+    """Fraction of the block's resource elements spent on sensing, from the comb sizes."""
+    if diagonal:
+        cfg.validate_diagonal()
+    count = cfg.n_diag if diagonal else cfg.n_sensing_freq * cfg.n_sensing_time
+    return count / (cfg.n_subcarriers * cfg.n_symbols)
 
 
 def capabilities(cfg: OfdmConfig) -> SensingCapabilities:

@@ -17,7 +17,7 @@ import numpy as np
 from . import transforms
 from .channel import DiagonalVector
 from .config import OfdmConfig, bin_range, bin_velocity
-from .grid_estimator import circular_maxima, to_normalized_db
+from .grid_estimator import RadarImage, circular_maxima, to_normalized_db
 
 
 class WindowKind(Enum):
@@ -47,14 +47,6 @@ MAINLOBE_HALFWIDTH = {
     WindowKind.RECTANGULAR: 2,
     WindowKind.HAMMING: 4,
 }
-
-
-@dataclass(frozen=True)
-class RadarImage:
-    """dB-normalized 1-D spectrum magnitude; the strongest bin is 0 dB."""
-
-    magnitude_db: np.ndarray
-    reference_level: float
 
 
 @dataclass(frozen=True)
@@ -130,8 +122,7 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
     """Length-N DFT magnitude of the diagonal observation, dB-normalized."""
     spectrum = transforms.dft(np.asarray(d.values, dtype=complex),
                               method=method, counter=counter)
-    db, ref = to_normalized_db(np.abs(spectrum))
-    return RadarImage(magnitude_db=db, reference_level=ref)
+    return RadarImage(*to_normalized_db(np.abs(spectrum)))
 
 
 def thin_peaks(peaks: list[Peak], n: int,

@@ -22,11 +22,10 @@ _MAG_FLOOR_REL = 1e-15
 
 
 @dataclass(frozen=True)
-class RangeDopplerMap:
-    """dB-normalized magnitude of the 2-D transform; strongest cell is 0 dB.
-
-    reference_level records 20*log10 of the strongest linear magnitude so
-    absolute levels can be reconstructed.
+class RadarImage:
+    """dB-normalized transform magnitude, a 1-D spectrum or a 2-D range-Doppler
+    map, as to_normalized_db returns it: the strongest bin is 0 dB, and
+    reference_level is 20*log10 of the strongest linear magnitude.
     """
 
     magnitude_db: np.ndarray
@@ -69,7 +68,7 @@ def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarr
 
 
 def range_doppler_map(c: SymbolMatrix, method: str = "fast",
-                      counter: transforms.MultiplyCounter | None = None) -> RangeDopplerMap:
+                      counter: transforms.MultiplyCounter | None = None) -> RadarImage:
     """2-D transform of the symbol matrix: DFT along rows, IDFT down columns.
 
     The Doppler DFT carries no scale; the range IDFT carries 1/N_f. With
@@ -78,11 +77,10 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
     values = np.asarray(c.values, dtype=complex)
     spectrum = transforms.dft(values, axis=1, method=method, counter=counter)
     spectrum = transforms.idft(spectrum, axis=0, method=method, counter=counter)
-    db, ref = to_normalized_db(np.abs(spectrum))
-    return RangeDopplerMap(magnitude_db=db, reference_level=ref)
+    return RadarImage(*to_normalized_db(np.abs(spectrum)))
 
 
-def detect_peaks_2d(rd_map: RangeDopplerMap, threshold_db: float,
+def detect_peaks_2d(rd_map: RadarImage, threshold_db: float,
                     cfg: OfdmConfig, guard: int = 2) -> list[GridDetection]:
     """Cells above threshold that strictly dominate their guard neighborhood.
 

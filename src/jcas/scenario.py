@@ -146,6 +146,13 @@ def _table(doc: dict, name: str) -> dict:
     return table
 
 
+def _text(key: str, v) -> str:
+    """v itself if it is a string; any other TOML value (a list, a bool, a date) is refused."""
+    if not isinstance(v, str):
+        raise ValueError(f"vehicle {key} must be a string, got {v!r}")
+    return v
+
+
 def _vehicle_from(entry: dict) -> VehicleSpec:
     entry = dict(entry)
     if "rcs_dbsm" in entry:
@@ -158,12 +165,12 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
             raise ValueError(f"rcs_dbsm = {dbsm:g} overflows the float range") from None
     try:
         spec = VehicleSpec(
-            name=str(entry.pop("name")),
+            name=_text("name", entry.pop("name")),
             initial_range_m=finite_number("initial_range_m", entry.pop("initial_range_m")),
             relative_speed_mps=finite_number("relative_speed_mps",
                                              entry.pop("relative_speed_mps")),
             rcs_m2=finite_number("rcs_m2", entry.pop("rcs_m2")),
-            lane=str(entry.pop("lane")) if "lane" in entry else None,
+            lane=_text("lane", entry.pop("lane")) if "lane" in entry else None,
         )
     except KeyError as exc:
         raise ValueError(f"vehicle block missing key {exc}") from None

@@ -12,11 +12,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from jcas.allocation import AllocationKind, build_allocation, overhead
 from jcas.bench import count_ops
 from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
                           synthesize_grid, target_amplitudes)
-from jcas.config import OfdmConfig, Target, capabilities, tone_pair_bins
+from jcas.config import OfdmConfig, Target, capabilities, overhead, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  RadarImage, WindowKind, apply_window,
                                  candidates, detect_peaks_1d, diag_spectrum,
@@ -96,8 +95,8 @@ def test_criterion_2_capability_numbers():
 
 def test_criterion_3_overhead():
     with _criterion(3, "sensing overhead grid vs diagonal"):
-        og = overhead(build_allocation(CFG, AllocationKind.GRID))
-        od = overhead(build_allocation(CFG, AllocationKind.DIAGONAL))
+        og = overhead(CFG, diagonal=False)
+        od = overhead(CFG, diagonal=True)
         assert og == pytest.approx(0.0204, abs=5e-5)
         assert od == pytest.approx(4.25e-5, abs=5e-8)
         assert og / od == 480.0

@@ -9,7 +9,6 @@ import jcas.cli
 import jcas.diag_estimator
 from jcas.cli import build_parser, fmt, main, write_image_csv, write_rdmap_csv
 from jcas.diag_estimator import PeakPair, RadarImage, candidates
-from jcas.grid_estimator import RangeDopplerMap
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps")
@@ -46,7 +45,7 @@ def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
     rng = np.random.default_rng(5)
     db = rng.uniform(-320.0, 0.0, size=(6, 9))
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
-    write_rdmap_csv(tmp_path / "rd.csv", RangeDopplerMap(db, 0.0))
+    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
     rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(6) for q in range(9)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
@@ -475,6 +474,20 @@ def test_malformed_scene_numbers_refused_before_output(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["name", "lane"])
+@pytest.mark.parametrize("value", ["[1, 2]", "true", "2020-01-01"], ids=["list", "bool", "date"])
+def test_non_string_vehicle_text_refused_before_output(tmp_path, capsys, key, value):
+    # str() used to load these as the names '[1, 2]', 'True' and '2020-01-01'.
+    fields = {"name": '"car"', "lane": '"left"', key: value}
+    scene = tmp_path / "bad.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace('name = "car"\n', "")
+                     + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: vehicle {key} must be a string")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     (ONE_CAR_SCENE.replace("[scene]", "[scene"), "(at line 2, column"),
     (ONE_CAR_SCENE.replace("[[vehicle]]", "[vehicle]]"), "(at line 4, column"),
@@ -579,6 +592,13 @@ n_sensing_time = 3360
     out = capsys.readouterr().out
     assert "grid sensing overhead" in out
     assert "  1\n" in out
+
+
+def test_capabilities_lists_positions_only_for_alloc_csv(monkeypatch, capsys):
+    # The overheads come from the comb sizes; only --alloc-csv lists positions.
+    monkeypatch.setattr(jcas.cli, "sensing_positions", None)
+    assert main(["capabilities"]) == 0
+    assert capsys.readouterr().out == TABLE1_CAPABILITIES
 
 
 def test_capabilities_malformed_config(tmp_path, capsys):

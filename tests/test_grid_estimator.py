@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import SymbolMatrix, synthesize_grid
 from jcas.config import Target, capabilities, doppler_bin, range_bin
-from jcas.grid_estimator import (GridDetection, RangeDopplerMap, bins_to_estimate,
+from jcas.grid_estimator import (GridDetection, RadarImage, bins_to_estimate,
                                  circular_maxima, detect_peaks_2d, range_doppler_map)
 from oracles import brute_2d, local_maxima_2d
 
@@ -105,7 +105,7 @@ def test_flat_map_yields_no_peaks(small_cfg):
     rd = range_doppler_map(SymbolMatrix(np.ones((48, 48), dtype=complex)))
     flat = rd.magnitude_db.copy()
     flat[:] = 0.0
-    assert detect_peaks_2d(RangeDopplerMap(flat, 0.0), threshold_db=-3.0,
+    assert detect_peaks_2d(RadarImage(flat, 0.0), threshold_db=-3.0,
                            cfg=small_cfg) == []
 
 
@@ -126,7 +126,7 @@ def test_detect_matches_loop_oracle_with_ties(small_cfg, shape, guard):
         db = rng.integers(-240, 1, size=shape) * 0.25
         for threshold in (-10.0, -20.0, -30.0, -40.0, -50.0, -60.0):
             want = _oracle_detections(db, threshold, guard, small_cfg)
-            assert detect_peaks_2d(RangeDopplerMap(db, 0.0), threshold,
+            assert detect_peaks_2d(RadarImage(db, 0.0), threshold,
                                    cfg=small_cfg, guard=guard) == want
             assert circular_maxima(db, threshold, guard).tolist() == [
                 p * shape[1] + q for p, q in local_maxima_2d(db, threshold, guard)]
