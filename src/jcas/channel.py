@@ -157,19 +157,18 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     Entry (i, j) sums amp * exp(-j*4*pi*L_f*df*R*i/c) *
     exp(+j*4*pi*L_t*T_u*f_c*v*j/c) over targets; the comb spacings enter the
     ramps so that spectral peaks land on the full-bandwidth bin positions.
+    The sum is one product over targets, (amps * E_f) @ E_t.T, of the
+    N_f x K range ramps E_f and the N_t x K Doppler ramps E_t.
     """
     amps = _check_synth_inputs(targets, amps)
+    p = np.array([range_bin(cfg, t.range_m) for t in targets])
+    q = np.array([doppler_bin(cfg, t.radial_velocity_mps) for t in targets])
     i = np.arange(cfg.n_sensing_freq)[:, None]
-    j = np.arange(cfg.n_sensing_time)[None, :]
-    values = np.zeros((cfg.n_sensing_freq, cfg.n_sensing_time), dtype=complex)
-    for target, amp in zip(targets, amps):
-        p = range_bin(cfg, target.range_m)
-        q = doppler_bin(cfg, target.radial_velocity_mps)
-        values += (amp
-                   * np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
-                   * np.exp(+2j * np.pi * q * j / cfg.n_sensing_time))
-    values = add_awgn(values, noise, reference_amplitude=float(np.abs(amps).max()))
-    return SymbolMatrix(values)
+    j = np.arange(cfg.n_sensing_time)[:, None]
+    e_f = np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
+    e_t = np.exp(+2j * np.pi * q * j / cfg.n_sensing_time)
+    return SymbolMatrix(add_awgn((amps * e_f) @ e_t.T, noise,
+                                 reference_amplitude=float(np.abs(amps).max())))
 
 
 def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,

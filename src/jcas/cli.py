@@ -72,17 +72,15 @@ def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
     Rows go out one map row (fixed p, every q) at a time, so no more than
-    one row of cells is ever held as text.
+    one row of cells is ever held as text. Each fills one "{p},{q},%.6g"
+    template built per call: str.replace puts in p, % only the dB column.
     """
     n_t = rd.magnitude_db.shape[1]
-    template = "".join(f"%d,{q},%.6g\n" for q in range(n_t))
-    args: list = [0] * (2 * n_t)
+    template = "".join(f"{{p}},{q},%.6g\n" for q in range(n_t))
     with open(path, "w") as f:
         f.write("p,q,magnitude_db\n")
         for p, row in enumerate(rd.magnitude_db):
-            args[0::2] = [p] * n_t
-            args[1::2] = row.tolist()
-            f.write(template % tuple(args))
+            f.write(template.replace("{p}", str(p)) % tuple(row.tolist()))
 
 
 # One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.
@@ -174,8 +172,11 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
         out = Path(args.alloc_csv)
         out.mkdir(parents=True, exist_ok=True)
         for diagonal in (False, True) if square else (False,):
-            _write_csv(out / f"allocation_{'diagonal' if diagonal else 'grid'}.csv", "m,n",
-                       [f"{m},{n}" for m, n in sensing_positions(cfg, diagonal)])
+            positions = sensing_positions(cfg, diagonal)
+            with open(out / f"allocation_{'diagonal' if diagonal else 'grid'}.csv", "w") as f:
+                f.write("m,n\n")  # then 4096 rows at a time: never all N_f*N_t as text
+                for s in range(0, len(positions), 4096):
+                    f.write("".join(f"{m},{n}\n" for m, n in positions[s:s + 4096]))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from jcas.config import OfdmConfig, tone_pair_bins
+from jcas.config import OfdmConfig, doppler_bin, range_bin, tone_pair_bins
 from jcas.diag_estimator import PeakPair, candidates
 from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
@@ -59,6 +59,20 @@ def power_ratio_db(rcs1: float, r1: float, rcs2: float, r2: float) -> float:
     independent check of the full received-power expression.
     """
     return 10.0 * np.log10(rcs1 / rcs2) + 40.0 * np.log10(r2 / r1)
+
+
+def loop_synthesize_grid(cfg: OfdmConfig, targets, amps) -> np.ndarray:
+    """Noiseless grid-comb observation, one N_f x N_t outer product per target."""
+    i = np.arange(cfg.n_sensing_freq)[:, None]
+    j = np.arange(cfg.n_sensing_time)[None, :]
+    values = np.zeros((cfg.n_sensing_freq, cfg.n_sensing_time), dtype=complex)
+    for target, amp in zip(targets, amps):
+        p = range_bin(cfg, target.range_m)
+        q = doppler_bin(cfg, target.radial_velocity_mps)
+        values += (amp
+                   * np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
+                   * np.exp(+2j * np.pi * q * j / cfg.n_sensing_time))
+    return values
 
 
 def expected_range_bin(cfg, range_m: float) -> float:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ from jcas.channel import (DiagonalModel, LinkBudget, NoiseSpec, add_awgn, rx_pow
                           synthesize_diag, synthesize_grid, target_amplitudes)
 from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
                          tone_pair_bins)
-from oracles import expected_doppler_bin, expected_range_bin, power_ratio_db
+from oracles import (expected_doppler_bin, expected_range_bin, loop_synthesize_grid,
+                     power_ratio_db)
 
 BUDGET = LinkBudget()
 
@@ -94,6 +97,22 @@ class TestSynthesizeGrid:
         a = synthesize_grid(table1, [t1], np.array([1.0]))
         b = synthesize_grid(table1, [t2], np.array([0.5j]))
         assert np.allclose(both.values, a.values + b.values)
+
+    @pytest.mark.parametrize("n_sensing_freq", [480, 240])
+    def test_product_matches_per_target_loop(self, table1, n_sensing_freq):
+        cfg = dataclasses.replace(table1, n_sensing_freq=n_sensing_freq)
+        rng = np.random.default_rng(16)
+        targets = [Target(r, v, 1.0) for r, v in zip(rng.uniform(1.0, 170.0, 16),
+                                                      rng.uniform(-60.0, 60.0, 16))]
+        amps = rng.uniform(0.1, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+        expected = loop_synthesize_grid(cfg, targets, amps)
+        assert expected.shape == (n_sensing_freq, 480)
+        got = synthesize_grid(cfg, targets, amps)
+        assert np.allclose(got.values, expected, rtol=1e-12, atol=1e-12)
+        noise = NoiseSpec(snr_db=20.0, rng_seed=3)
+        noisy = synthesize_grid(cfg, targets, amps, noise=noise)
+        assert np.allclose(noisy.values, add_awgn(expected, noise, float(np.abs(amps).max())),
+                           rtol=1e-12, atol=1e-12)
 
     def test_empty_targets_rejected(self, table1):
         with pytest.raises(ValueError):

@@ -32,8 +32,8 @@ FORMAT_EDGE_VALUES = (0.0, -0.0, -300.0, 1e-5, 99999.95, 123456.5, 1e16)
 
 
 def test_percent_formats_match_fmt():
-    # write_image_csv and write_rdmap_csv format cells with "%d" / "%.6g"
-    # and must give exactly what fmt gives.
+    # write_image_csv formats cells with "%d" / "%.6g", write_rdmap_csv
+    # with str and "%.6g"; they must give exactly what fmt gives.
     for x in FORMAT_EDGE_VALUES:
         for v in (x, np.float64(x), -x):
             assert "%.6g" % v == fmt(v), v
@@ -47,6 +47,19 @@ def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
     write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
     rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(6) for q in range(9)]
+    expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
+    assert (tmp_path / "rd.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("shape", [(12, 11), (3, 14)])
+def test_write_rdmap_csv_multi_digit_indices(tmp_path, shape):
+    # Two-digit p and q, which the 6 x 9 map above never reaches.
+    n_f, n_t = shape
+    db = np.random.default_rng(n_f * n_t).uniform(-320.0, 0.0, size=shape)
+    db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
+    db[-1, -len(FORMAT_EDGE_VALUES):] = FORMAT_EDGE_VALUES
+    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
+    rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(n_f) for q in range(n_t)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
 
