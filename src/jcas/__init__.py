@@ -6,9 +6,8 @@ ambiguity resolution, and a transform complexity benchmark.
 """
 
 from .bench import count_ops, run_bench
-from .channel import (DiagonalModel, DiagonalVector, LinkBudget, NoiseSpec,
-                      SymbolMatrix, add_awgn, rx_power, synthesize_diag,
-                      synthesize_grid, target_amplitudes)
+from .channel import (DiagonalVector, LinkBudget, NoiseSpec, SymbolMatrix, add_awgn,
+                      rx_power, synthesize_diag, synthesize_grid, target_amplitudes)
 from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_velocity,
                      capabilities, doppler_bin, overhead, range_bin, sensing_positions,
                      tone_pair_bins)

@@ -13,25 +13,12 @@ symbol index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .config import OfdmConfig, Target, doppler_bin, range_bin, tone_pair_bins
-
-
-class DiagonalModel(Enum):
-    """Echo model on the diagonal comb.
-
-    SINGLE_TONE is the literal product of the range and velocity phase ramps
-    and yields one spectral peak; DUAL_TONE splits each target into the
-    sum-and-difference tone pair that produces the operational dual-peak
-    radar image. DUAL_TONE is the default everywhere.
-    """
-
-    SINGLE_TONE = "single-tone"
-    DUAL_TONE = "dual-tone"
 
 
 @dataclass(frozen=True)
@@ -96,12 +83,17 @@ def rx_power(budget: LinkBudget, cfg: OfdmConfig, target: Target) -> float:
 
     Evaluates P_Tx*G_Tx*G_Rx*sigma*lambda^2 / ((4*pi)^3 * R^4 * f_c^2).
     The f_c^2 factor is kept as-is; only power ratios at fixed carrier are
-    consumed downstream, where it cancels against lambda^2.
+    consumed downstream, where it cancels against lambda^2. A power that
+    under- or overflows (R^4 rounding to zero, say) raises ValueError.
     """
     lam = cfg.wavelength
-    return (budget.tx_power * budget.tx_gain * budget.rx_gain
-            * target.rcs_m2 * lam ** 2
-            / ((4.0 * np.pi) ** 3 * target.range_m ** 4 * cfg.carrier_freq ** 2))
+    spread = (4.0 * np.pi) ** 3 * target.range_m ** 4 * cfg.carrier_freq ** 2
+    power = (budget.tx_power * budget.tx_gain * budget.rx_gain
+             * target.rcs_m2 * lam ** 2 / spread) if spread else 0.0
+    if not 0 < power < math.inf:
+        raise ValueError(f"echo power of the target at {target.range_m:g} m is "
+                         f"{power:g} W, not positive and finite")
+    return power
 
 
 def target_amplitudes(cfg: OfdmConfig, budget: LinkBudget,
@@ -172,23 +164,19 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
 
 
 def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
-                    noise: NoiseSpec | None = None,
-                    model: DiagonalModel = DiagonalModel.DUAL_TONE) -> DiagonalVector:
-    """Normalized diagonal-comb observation of the given targets."""
+                    noise: NoiseSpec | None = None) -> DiagonalVector:
+    """Normalized diagonal-comb observation of the given targets.
+
+    Each target contributes the sum-and-difference tone pair at its
+    tone_pair_bins, amp/2 each: the dual-peak radar image.
+    """
     cfg.validate_diagonal()
     amps = _check_synth_inputs(targets, amps)
     k = np.arange(cfg.n_diag)
     values = np.zeros(cfg.n_diag, dtype=complex)
     for target, amp in zip(targets, amps):
-        if model is DiagonalModel.SINGLE_TONE:
-            l_r = range_bin(cfg, target.range_m)
-            l_d = doppler_bin(cfg, target.radial_velocity_mps)
-            values += amp * np.exp(2j * np.pi * (l_d - l_r) * k / cfg.n_diag)
-        elif model is DiagonalModel.DUAL_TONE:
-            lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
-            values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
-                                     + np.exp(2j * np.pi * lo * k / cfg.n_diag))
-        else:
-            raise ValueError(f"unknown diagonal model: {model!r}")
+        lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
+        values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
+                                 + np.exp(2j * np.pi * lo * k / cfg.n_diag))
     values = add_awgn(values, noise, reference_amplitude=float(np.abs(amps).max()))
     return DiagonalVector(values)

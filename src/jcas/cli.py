@@ -3,8 +3,8 @@
 Subcommands::
 
     jcas simulate     --scene <name|file> [--window rect|hamming|adaptive]
-                      [--model dual-tone|single-tone] [--estimator diag|grid2d|both]
-                      [--snr-db F] [--seed N] [--out DIR]
+                      [--estimator diag|grid2d|both] [--snr-db F] [--seed N]
+                      [--out DIR]
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .channel import (DiagonalModel, LinkBudget, NoiseSpec, synthesize_diag,
-                      synthesize_grid, target_amplitudes)
+from .channel import (LinkBudget, NoiseSpec, synthesize_diag, synthesize_grid,
+                      target_amplitudes)
 from .config import OfdmConfig, capabilities, overhead, sensing_positions
 from .diag_estimator import WINDOW_MODES, PeakPair, RadarImage, process_frame
 from .grid_estimator import detect_peaks_2d, range_doppler_map
@@ -110,21 +110,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if run_diag:
         cfg.validate_diagonal()
     noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
+    # Every non-empty frame's echoes, so a degenerate echo power fails
+    # before --out exists; the frame index seeds the reflection phases.
+    frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, args.seed, fidx))
+              for fidx, t in enumerate(times) if (targets := targets_at(scene, t))]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = DiagonalModel(args.model)
     windows = WINDOW_MODES[args.window]
     tracks = TrackTable()
     det_rows: list[str] = []
     grid_rows: list[str] = []
-    for fidx, t in enumerate(scene.measurement_times_s):
-        targets = targets_at(scene, t)
-        if not targets:
-            continue
-        amps = target_amplitudes(cfg, LinkBudget(), targets, args.seed, fidx)
+    for t, targets, amps in frames:
         if run_diag:
-            frame = process_frame(
-                synthesize_diag(cfg, targets, amps, noise=noise, model=model), windows)
+            frame = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
             for kind, img in frame.images.items():
                 suffix = f"_{kind.value}" if len(windows) > 1 else ""
                 write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
@@ -209,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="builtin scene name (fig4, fig5) or scene file path")
     sim.add_argument("--window", choices=list(WINDOW_MODES),
                      default="rect")
-    sim.add_argument("--model", choices=[m.value for m in DiagonalModel],
-                     default=DiagonalModel.DUAL_TONE.value)
     sim.add_argument("--estimator", choices=["diag", "grid2d", "both"],
                      default="diag")
     sim.add_argument("--snr-db", type=float, default=None,

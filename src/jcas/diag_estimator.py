@@ -9,8 +9,10 @@ within a single frame (see tracking for the multi-frame resolution).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +51,11 @@ MAINLOBE_HALFWIDTH = {
 }
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     """A detected spectral peak.
 
-    bin is in native DFT-bin units. detect_peaks_1d gives integer-valued
-    bins, and thin_peaks takes only those; a peak read off a zero-padded
+    bin is in native DFT-bin units. detect_peaks_1d gives int bins, and
+    thin_peaks takes only integer-valued ones; a peak read off a zero-padded
     image may sit between them.
     """
 
@@ -62,22 +63,18 @@ class Peak:
     magnitude_db: float
 
 
-@dataclass(frozen=True)
-class PeakPair:
-    """Two peaks attributed to one target, lower bin first.
+class PeakPair(NamedTuple):
+    """Two peaks attributed to one target, lower bin first (pair_peaks sorts
+    them).
 
     l1 == l2 is the degenerate coincident-tone case (zero-velocity target).
-    Bins are those of the member peaks: integer-valued on the CLI path,
-    fractional when the peaks are.
+    Bins are those of the member peaks: ints on the CLI path, fractional
+    when the peaks are.
     """
 
     l1: float
     l2: float
     magnitude_db: float  # mean of the members
-
-    def __post_init__(self) -> None:
-        if self.l1 > self.l2:
-            raise ValueError("PeakPair requires l1 <= l2")
 
     @property
     def mean_bin(self) -> float:
@@ -125,7 +122,7 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
     return RadarImage(*to_normalized_db(np.abs(spectrum)))
 
 
-def thin_peaks(peaks: list[Peak], n: int,
+def thin_peaks(peaks: Iterable[Peak], n: int,
                min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
     """Greedy strongest-first thinning over n circular bins.
 
@@ -159,8 +156,8 @@ def detect_peaks_1d(img: RadarImage, threshold_db: float,
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
     db = img.magnitude_db
-    return thin_peaks([Peak(bin=i, magnitude_db=float(db[i]))
-                       for i in circular_maxima(db, threshold_db, 1).tolist()],
+    found = circular_maxima(db, threshold_db, 1)
+    return thin_peaks(map(Peak, found.tolist(), db[found].tolist()),
                       len(db), min_separation)
 
 

@@ -75,6 +75,18 @@ def loop_synthesize_grid(cfg: OfdmConfig, targets, amps) -> np.ndarray:
     return values
 
 
+def single_tone_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:
+    """Diagonal-comb values as the literal product of each target's range and
+    Doppler phase ramps: one tone per target at l_d - l_r, amp each."""
+    k = np.arange(cfg.n_diag)
+    values = np.zeros(cfg.n_diag, dtype=complex)
+    for target, amp in zip(targets, amps):
+        l_r = range_bin(cfg, target.range_m)
+        l_d = doppler_bin(cfg, target.radial_velocity_mps)
+        values += amp * np.exp(2j * np.pi * (l_d - l_r) * k / cfg.n_diag)
+    return values
+
+
 def expected_range_bin(cfg, range_m: float) -> float:
     """Fractional range bin from first principles: 2*B*R/c of a full comb."""
     return 2.0 * cfg.n_subcarriers * cfg.subcarrier_spacing * range_m / cfg.speed_of_light

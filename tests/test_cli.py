@@ -315,23 +315,30 @@ def test_simulate_refuses_non_square_comb_before_output(tmp_path, capsys, estima
     assert not (tmp_path / "deep").exists()
 
 
-def test_simulate_single_tone_model(tmp_path):
+def test_simulate_refuses_removed_model_option(tmp_path):
+    # The diagonal comb has one echo model, the dual-tone pair, so simulate
+    # takes no --model option, not even naming that model.
     out = tmp_path / "run"
-    scene = tmp_path / "one_car.cfg"
-    scene.write_text("""
-[scene]
-measurement_times_s = [0.0]
-[[vehicle]]
-name = "car"
-initial_range_m = 40.0
-relative_speed_mps = 5.0
-rcs_m2 = 3.16
-""")
-    assert main(["simulate", "--scene", str(scene), "--model", "single-tone",
-                 "--out", str(out)]) == 0
-    # one tone, no pairing possible: empty detections but a valid image
-    _, rows = _read_csv(out / "detections.csv")
-    assert rows == []
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scene", "fig4", "--model", "dual-tone", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["diag", "grid2d"])
+@pytest.mark.parametrize("old, new", [
+    ("initial_range_m = 40.0", "initial_range_m = 1e-100"),  # R^4 underflows
+    ("rcs_m2 = 3.16", "rcs_m2 = 1e-300"),  # every echo power is 0
+], ids=["range-underflow", "zero-power"])
+def test_simulate_refuses_degenerate_echo_power_before_output(tmp_path, capsys,
+                                                               estimator, old, new):
+    out = tmp_path / "run"
+    scene = tmp_path / "faint.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace(old, new))
+    assert main(["simulate", "--scene", str(scene), "--estimator", estimator,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: echo power of the target")
+    assert not out.exists()
 
 
 def test_simulate_noise_flag_changes_image(tmp_path):

@@ -9,7 +9,7 @@ from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
                                  RadarImage, psl, thin_peaks,
                                  window_coefficients)
-from oracles import local_maxima_1d, thin_pairwise
+from oracles import local_maxima_1d, single_tone_diag, thin_pairwise
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
 
@@ -78,10 +78,8 @@ class TestSpectrum:
         assert np.max(np.abs(a.magnitude_db - b.magnitude_db)) < 1e-6
 
     def test_single_tone_model_peaks_at_reflected_bin(self, table1):
-        from jcas.channel import DiagonalModel
         from jcas.config import doppler_bin, range_bin
-        d = synthesize_diag(table1, [FIG3_TARGET], np.array([1.0]),
-                            model=DiagonalModel.SINGLE_TONE)
+        d = DiagonalVector(single_tone_diag(table1, [FIG3_TARGET], [1.0]))
         peaks = detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0)
         # one tone at l_doppler - l_range = -81.39, i.e. bin 398.6 after wrap
         expected = round(480 - (range_bin(table1, 40.0) - doppler_bin(table1, 5.0)))

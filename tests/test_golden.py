@@ -54,3 +54,28 @@ def test_noisy_both_estimators_match_golden(tmp_path):
     out = _simulate(tmp_path, "--scene", "fig5", "--estimator", "both",
                     "--window", "adaptive", "--snr-db", "20")
     _assert_matches_golden(out, GOLDEN / "fig5_both_snr20")
+
+
+HIGHWAY6_SCENE = """
+[scene]
+measurement_times_s = [0.0, 0.03, 0.06, 0.09]
+""" + "".join(f"""
+[[vehicle]]
+name = "{name}"
+initial_range_m = {r}
+relative_speed_mps = {v}
+rcs_m2 = {rcs}
+""" for name, r, v, rcs in [("car", 12.5, 8.0, 3.16), ("truck", 41.0, -6.5, 100.0),
+                            ("moto", 27.0, 15.0, 1.0), ("van", 63.0, 3.0, 10.0),
+                            ("car2", 88.0, -12.0, 3.16), ("bike", 7.5, 2.5, 1.0)])
+
+
+def test_noisy_multi_frame_tracking_matches_golden(tmp_path):
+    # Six vehicles over four 20 dB frames: pair ownership, branch scores and
+    # resolved tracks (9 "a", 3 "b") carried across noisy frames.
+    scene = tmp_path / "highway6.toml"
+    scene.write_text(HIGHWAY6_SCENE)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--window", "adaptive",
+                 "--snr-db", "20", "--seed", "3", "--out", str(out)]) == 0
+    _assert_matches_golden(out, GOLDEN / "highway6_adaptive_snr20")
