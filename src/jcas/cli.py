@@ -8,8 +8,8 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-Numbers are written with 6 significant digits and '.' decimals;
-identical configuration and seed give byte-identical files.
+Numbers are written as "%.6g" renders them (templates, or numpy text in
+write_rdmap_csv); identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ GRID_THRESHOLD_DB = -30.0
 def fmt(x) -> str:
     """Fixed 6-significant-digit rendering of one number.
 
-    The CSV writers format many cells with one "%d" / "%.6g" template
-    instead; those render ints and floats to the same text.
+    The CSV writers render the same text in bulk: "%d" / "%.6g" templates,
+    and in write_rdmap_csv "%.6g" text built in numpy.
     """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -68,19 +68,79 @@ def write_image_csv(path: Path, img: RadarImage) -> None:
     path.write_text("bin,magnitude_db\n" + ("%d,%.6g\n" * n) % tuple(args))
 
 
+_RDMAP_SCALE = np.array([1e5, 1e4, 1e3])  # 10**(5-e), e = floor(log10|x|)
+_RDMAP_BLOCK_CELLS = 4096
+
+
+@functools.cache
+def _rdmap_digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Text of six significant digits z = 1000*hi + lo, NUL where "%.6g" has none.
+
+    head[hi + 1000*e + 3000*(lo != 0) + 6000*(x < 0)] holds the sign, hi's digits
+    and a '.' after digit e in 8 bytes; tail[lo] holds lo's digits in 4. Trailing
+    zeros of the fraction, and a '.' with nothing after it, are NUL.
+    """
+    pad = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)
+    zeros = np.cumprod(pad[:, ::-1] == 48, axis=1).sum(axis=1)[:, None]
+    j = np.arange(3)
+    head = np.zeros((2, 2, 3, 1000, 8), np.uint8)
+    head[1, ..., 0] = ord("-")
+    for more in (0, 1):
+        for e in range(3):
+            head[:, more, e, :, 1:7:2] = pad * ((j <= e) | more | (j < 3 - zeros))
+            head[:, more, e, :, 2 * e + 2] = ord(".") * (more | (zeros[:, 0] < 2 - e))
+    tail = np.zeros((1000, 4), np.uint8)
+    tail[:, :3] = pad * (j < 3 - zeros)
+    return head.reshape(12000, 8).view(np.uint64)[:, 0], tail.view(np.uint32)[:, 0]
+
+
 def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
-    Rows go out one map row (fixed p, every q) at a time, so no more than
-    one row of cells is ever held as text. Each fills one "{p},{q},%.6g"
-    template built per call: str.replace puts in p, % only the dB column.
+    The text equals "%.6g" of every cell, byte for byte. A few map rows at a
+    time, each cell fills a fixed-width line ("p,", "q,", 13 number bytes,
+    newline) whose padding, NUL or space, translate() deletes. A cell with
+    1 <= |x| < 1000 after rounding takes its text from _rdmap_digit_tables by
+    its digits z = rint(s), s = |x| * 10**(5-e): s carries one rounding error,
+    under 1.2e-10, so z is what "%.6g" rounds to unless s lies within 1e-6 of
+    a half. Such a cell, and every other one, goes through "%-13.6g".
     """
-    n_t = rd.magnitude_db.shape[1]
-    template = "".join(f"{{p}},{q},%.6g\n" for q in range(n_t))
-    with open(path, "w") as f:
-        f.write("p,q,magnitude_db\n")
-        for p, row in enumerate(rd.magnitude_db):
-            f.write(template.replace("{p}", str(p)) % tuple(row.tolist()))
+    db = rd.magnitude_db
+    n_f, n_t = db.shape
+    pw, qw = len(str(n_f - 1)) + 1, len(str(n_t - 1)) + 1
+    o = pw + qw
+    cell = np.dtype({"names": ["p", "q", "head", "tail", "text", "nl"],
+                     "formats": [f"S{pw}", f"S{qw}", "u8", "u4", "S13", "u1"],
+                     "offsets": [0, pw, o, o + 8, o, o + 13]})
+    head, tail = _rdmap_digit_tables()
+    step = max(1, _RDMAP_BLOCK_CELLS // n_t)
+    blank = np.zeros((step, n_t), cell)
+    blank["q"] = np.array([f"{q}," for q in range(n_t)], cell["q"])
+    blank["nl"] = ord("\n")
+    blank = blank.view(np.uint8)  # a plain byte copy per block, not per field
+    with open(path, "wb") as f:
+        f.write(b"p,q,magnitude_db\n")
+        for p in range(0, n_f, step):
+            x = db[p:p + step]
+            cells = blank[:len(x)].copy().view(cell)
+            rows = range(p, p + len(x))
+            cells["p"] = np.array([f"{i}," for i in rows], cell["p"])[:, None]
+            a = np.abs(x)
+            ok = (a >= 1) & (a < 1000)
+            e = (a >= 10).astype(np.intp) + (a >= 100)
+            s = np.where(ok, a, 1.0) * _RDMAP_SCALE[e]
+            z = np.rint(s)
+            ok &= (z < 1e6) & (np.abs(s - z) < 0.5 - 1e-6)
+            z = np.where(ok, z, 1e5)  # keeps every index in the tables
+            hi = np.floor(z / 1000)
+            lo = z - 1000 * hi
+            cells["head"] = head[(hi + 1000 * e + 3000 * (lo != 0)
+                                  + 6000 * (x < 0)).astype(np.intp)]
+            cells["tail"] = tail[lo.astype(np.intp)]
+            bad = np.flatnonzero(~ok)
+            text = ("%-13.6g" * bad.size) % tuple(x.flat[bad].tolist())
+            cells["text"].flat[bad] = np.frombuffer(text.encode(), cell["text"])
+            f.write(cells.tobytes().translate(None, b"\0 "))
 
 
 # One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.

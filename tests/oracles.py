@@ -10,11 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from jcas.config import OfdmConfig, doppler_bin, range_bin, tone_pair_bins
-from jcas.diag_estimator import PeakPair, candidates
+from jcas.diag_estimator import PeakPair, RadarImage, candidates
 from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
 
@@ -85,6 +86,21 @@ def single_tone_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:
         l_d = doppler_bin(cfg, target.radial_velocity_mps)
         values += amp * np.exp(2j * np.pi * (l_d - l_r) * k / cfg.n_diag)
     return values
+
+
+def template_rdmap_csv(path: Path, rd: RadarImage) -> None:
+    """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
+
+    Rows go out one map row (fixed p, every q) at a time, so no more than
+    one row of cells is ever held as text. Each fills one "{p},{q},%.6g"
+    template built per call: str.replace puts in p, % only the dB column.
+    """
+    n_t = rd.magnitude_db.shape[1]
+    template = "".join(f"{{p}},{q},%.6g\n" for q in range(n_t))
+    with open(path, "w") as f:
+        f.write("p,q,magnitude_db\n")
+        for p, row in enumerate(rd.magnitude_db):
+            f.write(template.replace("{p}", str(p)) % tuple(row.tolist()))
 
 
 def expected_range_bin(cfg, range_m: float) -> float:

@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import jcas.cli
 import jcas.diag_estimator
 from jcas.cli import build_parser, fmt, main, write_image_csv, write_rdmap_csv
 from jcas.diag_estimator import PeakPair, RadarImage, candidates
+from oracles import template_rdmap_csv
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps")
@@ -62,6 +66,58 @@ def test_write_rdmap_csv_multi_digit_indices(tmp_path, shape):
     rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(n_f) for q in range(n_t)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
+
+
+def _assert_rdmap_matches_oracle(tmp_path, db):
+    rd = RadarImage(db, 0.0)
+    write_rdmap_csv(tmp_path / "rd.csv", rd)
+    template_rdmap_csv(tmp_path / "oracle.csv", rd)
+    assert (tmp_path / "rd.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def _crafted_cells() -> np.ndarray:
+    """Cells where a six-digit text is easy to get wrong, and their negatives."""
+    k = np.r_[100000, 100009, 123456, 499999, 500000, 999998, 999999,
+              np.random.default_rng(18).integers(100000, 1000000, 24)]
+    ties = np.concatenate([(k + 0.5) * 10.0 ** -j for j in range(-2, 11)])
+    edges = np.array([9.999995, 99.99995, 999.9995, 999999.5, 0.9999995,
+                      1.0, 10.0, 100.0, 1000.0, 300.0, 12.5, 100.0625])
+    small_big = np.array([0.5, 0.123456789, 1e-4, 9.99999e-5, 3e-7, 5e-324,
+                          1000.5, 1234.5, 99999.95, 123456.5, 1e16, 1.7e308])
+    cells = np.concatenate([ties, edges, small_big])
+    cells = np.concatenate([cells, np.nextafter(cells, 0), np.nextafter(cells, np.inf)])
+    return np.concatenate([cells, -cells, [0.0, -0.0, -300.0, np.nan, np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1003), (1003, 2), (37, 41)])
+def test_write_rdmap_csv_crafted_cells_match_oracle(tmp_path, shape):
+    # Near-ties (k + 0.5) * 10**-j and their one-ulp neighbours, decade edges,
+    # |x| < 1, |x| >= 1000 and the non-finite cells; 2 x 1003 and 1003 x 2
+    # put an index >= 1000 into q and into p; 1 x 1 maps take every 16th cell.
+    cells = _crafted_cells()
+    for start in range(0, len(cells), max(shape[0] * shape[1], len(cells) // 16)):
+        db = np.resize(np.roll(cells, -start), shape)
+        _assert_rdmap_matches_oracle(tmp_path, db)
+        _assert_rdmap_matches_oracle(tmp_path, np.asfortranarray(db))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                  elements=st.one_of(st.floats(-320.0, 0.0), st.floats(-1e3, 1e3),
+                                     st.floats())))
+def test_write_rdmap_csv_matches_oracle_on_any_map(tmp_path, db):
+    _assert_rdmap_matches_oracle(tmp_path, db)
+
+
+def test_write_rdmap_csv_degenerate_cells_raise_no_warning(tmp_path):
+    db = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7e308, -300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
+    assert (tmp_path / "rd.csv").read_text().splitlines() == [
+        "p,q,magnitude_db", "0,0,0", "0,1,-0", "0,2,nan", "0,3,inf", "0,4,-inf",
+        "0,5,4.94066e-324", "0,6,-1.7e+308", "0,7,-300"]
 
 
 def test_write_image_csv_matches_per_cell_rendering(tmp_path):

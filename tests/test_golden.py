@@ -79,3 +79,15 @@ def test_noisy_multi_frame_tracking_matches_golden(tmp_path):
     assert main(["simulate", "--scene", str(scene), "--window", "adaptive",
                  "--snr-db", "20", "--seed", "3", "--out", str(out)]) == 0
     _assert_matches_golden(out, GOLDEN / "highway6_adaptive_snr20")
+
+
+def test_noisy_dense_grid_matches_golden(tmp_path):
+    # The same six vehicles through the grid comb at 20 dB: four noisy maps
+    # of 230,400 cells each, five vehicles above the -30 dB threshold (car2
+    # at 88 m stays under it), so the rdmap text covers a dense noise floor.
+    scene = tmp_path / "highway6.toml"
+    scene.write_text(HIGHWAY6_SCENE)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--snr-db", "20", "--seed", "3", "--out", str(out)]) == 0
+    _assert_matches_golden(out, GOLDEN / "highway6_grid2d_snr20")
