@@ -97,13 +97,13 @@ def _rdmap_digit_tables() -> tuple[np.ndarray, np.ndarray]:
 def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
-    The text equals "%.6g" of every cell, byte for byte. A few map rows at a
-    time, each cell fills a fixed-width line ("p,", "q,", 13 number bytes,
-    newline) whose padding, NUL or space, translate() deletes. A cell with
-    1 <= |x| < 1000 after rounding takes its text from _rdmap_digit_tables by
-    its digits z = rint(s), s = |x| * 10**(5-e): s carries one rounding error,
-    under 1.2e-10, so z is what "%.6g" rounds to unless s lies within 1e-6 of
-    a half. Such a cell, and every other one, goes through "%-13.6g".
+    The text equals "%.6g" of every cell, byte for byte. A few map rows at a time, each
+    cell fills a fixed-width line ("p,", "q,", 13 number bytes, newline) whose padding,
+    NUL or space, translate() deletes. A cell with 1 <= |x| < 1000 after rounding takes
+    its text from _rdmap_digit_tables by its digits z = rint(s), s = |x| * 10**(5-e):
+    s carries one rounding error, under 1.2e-10, so z is what "%.6g" rounds to unless
+    s lies within 1e-6 of a half. Such a cell, and every other one, goes through
+    "%-13.6g" alone, found by a byte scan (count-sized numpy arrays pin heap chunks).
     """
     db = rd.magnitude_db
     n_f, n_t = db.shape
@@ -123,8 +123,7 @@ def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
         for p in range(0, n_f, step):
             x = db[p:p + step]
             cells = blank[:len(x)].copy().view(cell)
-            rows = range(p, p + len(x))
-            cells["p"] = np.array([f"{i}," for i in rows], cell["p"])[:, None]
+            cells["p"] = np.array([f"{i}," for i in range(p, p + len(x))], cell["p"])[:, None]
             a = np.abs(x)
             ok = (a >= 1) & (a < 1000)
             e = (a >= 10).astype(np.intp) + (a >= 100)
@@ -137,9 +136,9 @@ def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
             cells["head"] = head[(hi + 1000 * e + 3000 * (lo != 0)
                                   + 6000 * (x < 0)).astype(np.intp)]
             cells["tail"] = tail[lo.astype(np.intp)]
-            bad = np.flatnonzero(~ok)
-            text = ("%-13.6g" * bad.size) % tuple(x.flat[bad].tolist())
-            cells["text"].flat[bad] = np.frombuffer(text.encode(), cell["text"])
+            text, flags, i = cells["text"].reshape(-1), (~ok).tobytes(), -1
+            while (i := flags.find(1, i + 1)) >= 0:
+                text[i] = b"%-13.6g" % x.item(i)
             f.write(cells.tobytes().translate(None, b"\0 "))
 
 

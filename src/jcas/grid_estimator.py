@@ -42,12 +42,13 @@ class GridDetection:
 
 
 def to_normalized_db(mag: np.ndarray) -> tuple[np.ndarray, float]:
-    """dB magnitudes with the peak at 0 dB; returns (map, peak level in dB)."""
+    """dB of mag, overwritten in place, with the peak at 0 dB; returns (map, peak level in dB)."""
     peak = float(mag.max())
     if peak <= 0:
         raise ValueError("cannot normalize an all-zero magnitude array")
-    clamped = np.maximum(mag, peak * _MAG_FLOOR_REL)
-    return 20.0 * np.log10(clamped / peak), 20.0 * np.log10(peak)
+    np.maximum(mag, peak * _MAG_FLOOR_REL, out=mag)
+    np.log10(np.divide(mag, peak, out=mag), out=mag)
+    return np.multiply(mag, 20.0, out=mag), 20.0 * np.log10(peak)
 
 
 def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarray:

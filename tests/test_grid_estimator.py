@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from jcas.channel import SymbolMatrix, synthesize_grid
 from jcas.config import Target, capabilities, doppler_bin, range_bin
 from jcas.grid_estimator import (GridDetection, RadarImage, bins_to_estimate,
-                                 circular_maxima, detect_peaks_2d, range_doppler_map)
+                                 circular_maxima, detect_peaks_2d, range_doppler_map,
+                                 to_normalized_db)
 from oracles import brute_2d, local_maxima_2d
 
 
@@ -55,6 +56,18 @@ def test_parseval_with_map_convention(small_cfg):
     absolute = np.sum((ref * 10 ** (rd.magnitude_db / 20.0)) ** 2)
     expected = (48 / 48) * np.sum(np.abs(values) ** 2)
     assert absolute == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.0, 1e12), min_size=1, max_size=64).filter(lambda v: max(v) > 1e-200))
+def test_to_normalized_db_matches_expression_in_place(values):
+    # The expression with its temporaries is the reference, bit for bit.
+    mag = np.array(values)
+    peak = float(mag.max())
+    expect = 20.0 * np.log10(np.maximum(mag, peak * 1e-15) / peak)
+    db, ref = to_normalized_db(mag)
+    assert db is mag and db.tobytes() == expect.tobytes()
+    assert ref == 20.0 * np.log10(peak)
 
 
 def test_equal_targets_with_matched_bin_offsets(table1):
