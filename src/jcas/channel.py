@@ -124,22 +124,38 @@ def _check_synth_inputs(targets: list[Target], amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def _add_noise_in_place(values: np.ndarray, noise: NoiseSpec,
+                        reference_amplitude: float) -> np.ndarray:
+    """Add add_awgn's noise into values (complex128, writable) and return it.
+
+    One float buffer takes both draws in turn: the first is scaled into the
+    real parts, the second into the imaginary parts. These are the same
+    float operations as values + scale * (a + 1j * b), so the result is
+    bit-identical to it.
+    """
+    variance = reference_amplitude ** 2 / 10.0 ** (noise.snr_db / 10.0)
+    rng = np.random.default_rng(noise.rng_seed)
+    scale = np.sqrt(variance / 2.0)
+    w = np.empty(values.shape)
+    for part in (values.real, values.imag):
+        rng.standard_normal(out=w)
+        part += np.multiply(w, scale, out=w)
+    return values
+
+
 def add_awgn(values: np.ndarray, noise: NoiseSpec | None,
              reference_amplitude: float = 1.0) -> np.ndarray:
     """Add circular complex Gaussian noise at the configured SNR.
 
     Per-sample noise variance satisfies reference_amplitude^2 / variance =
     10^(snr_db/10). An absent spec is the identity. Output is
-    deterministic under the spec's rng_seed.
+    deterministic under the spec's rng_seed. With a spec, the result is a
+    new array; the argument is never written.
     """
     values = np.asarray(values, dtype=complex)
     if noise is None:
         return values
-    variance = reference_amplitude ** 2 / 10.0 ** (noise.snr_db / 10.0)
-    rng = np.random.default_rng(noise.rng_seed)
-    scale = np.sqrt(variance / 2.0)
-    w = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-    return values + scale * w
+    return _add_noise_in_place(values.copy(), noise, reference_amplitude)
 
 
 def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
@@ -150,7 +166,9 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     exp(+j*4*pi*L_t*T_u*f_c*v*j/c) over targets; the comb spacings enter the
     ramps so that spectral peaks land on the full-bandwidth bin positions.
     The sum is one product over targets, (amps * E_f) @ E_t.T, of the
-    N_f x K range ramps E_f and the N_t x K Doppler ramps E_t.
+    N_f x K range ramps E_f and the N_t x K Doppler ramps E_t. The noise, as
+    add_awgn draws it, is added into that fresh product in place, so the
+    frame's one complex buffer holds the observation.
     """
     amps = _check_synth_inputs(targets, amps)
     p = np.array([range_bin(cfg, t.range_m) for t in targets])
@@ -159,8 +177,10 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     j = np.arange(cfg.n_sensing_time)[:, None]
     e_f = np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
     e_t = np.exp(+2j * np.pi * q * j / cfg.n_sensing_time)
-    return SymbolMatrix(add_awgn((amps * e_f) @ e_t.T, noise,
-                                 reference_amplitude=float(np.abs(amps).max())))
+    values = (amps * e_f) @ e_t.T
+    if noise is not None:
+        _add_noise_in_place(values, noise, float(np.abs(amps).max()))
+    return SymbolMatrix(values)
 
 
 def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
@@ -178,5 +198,6 @@ def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
         lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
         values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
                                  + np.exp(2j * np.pi * lo * k / cfg.n_diag))
-    values = add_awgn(values, noise, reference_amplitude=float(np.abs(amps).max()))
+    if noise is not None:
+        _add_noise_in_place(values, noise, float(np.abs(amps).max()))
     return DiagonalVector(values)

@@ -132,8 +132,10 @@ def thin_peaks(peaks: Iterable[Peak], n: int,
     """
     if min_separation < 1:
         raise ValueError("min_separation must be >= 1")
-    occupied = np.zeros(n, dtype=bool)
-    reach = np.arange(1 - min_separation, min_separation)
+    # A bytearray set by a plain loop: a numpy fancy-index per kept peak
+    # costs more than the few bins it marks.
+    occupied = bytearray(n)
+    reach = range(1 - min_separation, min_separation)
     kept: list[Peak] = []
     for p in sorted(peaks, key=lambda p: -p.magnitude_db):
         b = int(p.bin)
@@ -141,7 +143,8 @@ def thin_peaks(peaks: Iterable[Peak], n: int,
             raise ValueError(f"thin_peaks needs integer-valued bins, got {p.bin}")
         if not occupied[b % n]:
             kept.append(p)
-            occupied[(b + reach) % n] = True
+            for d in reach:
+                occupied[(b + d) % n] = 1
     return kept
 
 

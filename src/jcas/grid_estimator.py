@@ -74,10 +74,18 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
 
     The Doppler DFT carries no scale; the range IDFT carries 1/N_f. With
     this convention total map energy equals (N_t/N_f) times input energy.
+    The fast method overwrites c.values with the spectrum in place when it
+    is a writable complex128 array, so a grid frame needs one complex
+    buffer; any other values are copied first. The naive method never
+    writes c.values.
     """
-    values = np.asarray(c.values, dtype=complex)
-    spectrum = transforms.dft(values, axis=1, method=method, counter=counter)
-    spectrum = transforms.idft(spectrum, axis=0, method=method, counter=counter)
+    if method == "fast":
+        values = np.require(c.values, complex, "W")
+        transforms.dft(values, axis=1, counter=counter, out=values)
+        spectrum = transforms.idft(values, axis=0, counter=counter, out=values)
+    else:
+        spectrum = transforms.dft(c.values, axis=1, method=method, counter=counter)
+        spectrum = transforms.idft(spectrum, axis=0, method=method, counter=counter)
     return RadarImage(*to_normalized_db(np.abs(spectrum)))
 
 

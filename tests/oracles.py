@@ -16,6 +16,7 @@ import numpy as np
 
 from jcas.config import OfdmConfig, doppler_bin, range_bin, tone_pair_bins
 from jcas.diag_estimator import PeakPair, RadarImage, candidates
+from jcas.grid_estimator import to_normalized_db
 from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
 
@@ -74,6 +75,22 @@ def loop_synthesize_grid(cfg: OfdmConfig, targets, amps) -> np.ndarray:
                    * np.exp(-2j * np.pi * p * i / cfg.n_sensing_freq)
                    * np.exp(+2j * np.pi * q * j / cfg.n_sensing_time))
     return values
+
+
+def awgn_expression(values, noise, reference_amplitude: float) -> np.ndarray:
+    """The noisy observation as one out-of-place expression of the two draws,
+    values + scale * (a + 1j * b), with a and b drawn in that order."""
+    variance = reference_amplitude ** 2 / 10.0 ** (noise.snr_db / 10.0)
+    rng = np.random.default_rng(noise.rng_seed)
+    scale = np.sqrt(variance / 2.0)
+    a = rng.standard_normal(np.shape(values))
+    b = rng.standard_normal(np.shape(values))
+    return values + scale * (a + 1j * b)
+
+
+def out_of_place_map(x) -> np.ndarray:
+    """dB range-Doppler map of x through numpy's FFT into fresh arrays."""
+    return to_normalized_db(np.abs(np.fft.ifft(np.fft.fft(x, axis=1), axis=0)))[0]
 
 
 def single_tone_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:

@@ -8,8 +8,8 @@ from jcas.channel import (LinkBudget, NoiseSpec, add_awgn, rx_power, synthesize_
                           synthesize_grid, target_amplitudes)
 from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
                          tone_pair_bins)
-from oracles import (expected_doppler_bin, expected_range_bin, loop_synthesize_grid,
-                     power_ratio_db, single_tone_diag)
+from oracles import (awgn_expression, expected_doppler_bin, expected_range_bin,
+                     loop_synthesize_grid, power_ratio_db, single_tone_diag)
 
 BUDGET = LinkBudget()
 
@@ -120,6 +120,25 @@ class TestSynthesizeGrid:
         assert np.allclose(noisy.values, add_awgn(expected, noise, float(np.abs(amps).max())),
                            rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n_sensing_freq", [480, 240])
+    def test_noise_added_in_place_is_the_out_of_place_sum(self, table1, n_sensing_freq):
+        # The noise goes into the product's own buffer, real then imaginary
+        # parts; that must give the bits of values + scale * (a + 1j * b).
+        # The product is only close to loop_synthesize_grid, not bit-equal,
+        # so the reference adds the noise to the noiseless product.
+        cfg = dataclasses.replace(table1, n_sensing_freq=n_sensing_freq)
+        rng = np.random.default_rng(19)
+        targets = [Target(r, v, 1.0) for r, v in zip(rng.uniform(1.0, 170.0, 16),
+                                                      rng.uniform(-60.0, 60.0, 16))]
+        amps = rng.uniform(0.1, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+        clean = synthesize_grid(cfg, targets, amps).values
+        for snr_db, seed in ((20.0, 3), (-5.0, 11)):
+            noise = NoiseSpec(snr_db=snr_db, rng_seed=seed)
+            noisy = synthesize_grid(cfg, targets, amps, noise=noise).values
+            want = awgn_expression(clean, noise, float(np.abs(amps).max()))
+            assert noisy.dtype == want.dtype
+            assert np.array_equal(noisy, want)
+
     def test_empty_targets_rejected(self, table1):
         with pytest.raises(ValueError):
             synthesize_grid(table1, [], np.array([]))
@@ -157,6 +176,14 @@ class TestSynthesizeDiag:
         b = synthesize_diag(table1, [t2], np.array([1.0]))
         assert np.allclose(both.values, a.values + 0.25 * b.values)
 
+    def test_noise_is_the_out_of_place_sum(self, table1):
+        targets = [Target(12.0, 3.0, 1.0), Target(61.0, -9.0, 1.0)]
+        amps = np.array([0.25, 1.0j])
+        noise = NoiseSpec(snr_db=20.0, rng_seed=5)
+        clean = synthesize_diag(table1, targets, amps).values
+        noisy = synthesize_diag(table1, targets, amps, noise=noise).values
+        assert np.array_equal(noisy, awgn_expression(clean, noise, 1.0))
+
     def test_diagonal_needs_square_combs(self, small_cfg):
         import dataclasses
         bad = dataclasses.replace(small_cfg, n_sensing_time=24)
@@ -176,6 +203,16 @@ class TestNoise:
         x = np.zeros(100, dtype=complex)
         spec = NoiseSpec(snr_db=10.0, rng_seed=42)
         assert np.array_equal(add_awgn(x, spec), add_awgn(x, spec))
+
+    def test_returns_new_array_and_leaves_argument(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        before = x.copy()
+        spec = NoiseSpec(snr_db=10.0, rng_seed=2)
+        noisy = add_awgn(x, spec, reference_amplitude=0.5)
+        assert not np.shares_memory(noisy, x)
+        assert x.tobytes() == before.tobytes()
+        assert np.array_equal(noisy, awgn_expression(before, spec, 0.5))
 
     def test_variance_calibration(self):
         x = np.zeros(100_000, dtype=complex)

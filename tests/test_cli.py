@@ -36,8 +36,9 @@ FORMAT_EDGE_VALUES = (0.0, -0.0, -300.0, 1e-5, 99999.95, 123456.5, 1e16)
 
 
 def test_percent_formats_match_fmt():
-    # write_image_csv formats cells with "%d" / "%.6g", write_rdmap_csv
-    # with str and "%.6g"; they must give exactly what fmt gives.
+    # write_image_csv formats cells with "%d" / "%.6g", and write_rdmap_csv
+    # builds text equal to "%.6g" in numpy; they must give exactly what fmt
+    # gives.
     for x in FORMAT_EDGE_VALUES:
         for v in (x, np.float64(x), -x):
             assert "%.6g" % v == fmt(v), v

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import SymbolMatrix, synthesize_grid
 from jcas.config import Target, capabilities, doppler_bin, range_bin
+from jcas.transforms import MultiplyCounter
 from jcas.grid_estimator import (GridDetection, RadarImage, bins_to_estimate,
                                  circular_maxima, detect_peaks_2d, range_doppler_map,
                                  to_normalized_db)
-from oracles import brute_2d, local_maxima_2d
+from oracles import brute_2d, local_maxima_2d, out_of_place_map
 
 
 def _top_peak(rd):
@@ -36,6 +37,49 @@ def test_naive_and_fast_paths_agree(table1):
     a = range_doppler_map(c, method="naive")
     b = range_doppler_map(c, method="fast")
     assert np.max(np.abs(a.magnitude_db - b.magnitude_db)) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (7, 12), (12, 7), (1, 9), (9, 1), (1, 1)])
+def test_fast_map_overwrites_complex_values_with_spectrum(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = SymbolMatrix(x.copy())
+    rd = range_doppler_map(c, method="fast")
+    assert rd.magnitude_db.tobytes() == out_of_place_map(x).tobytes()
+    # the frame's one buffer now holds the spectrum
+    assert np.array_equal(c.values, np.fft.ifft(np.fft.fft(x, axis=1), axis=0))
+
+
+@pytest.mark.parametrize("shape", [(7, 12), (1, 9)])
+def test_fast_map_copies_float_and_read_only_values(shape):
+    rng = np.random.default_rng(sum(shape))
+    real = rng.standard_normal(shape)
+    frozen = real + 1j * rng.standard_normal(shape)
+    frozen.flags.writeable = False
+    for x in (real, frozen):
+        before = x.copy()
+        rd = range_doppler_map(SymbolMatrix(x), method="fast")
+        assert rd.magnitude_db.tobytes() == out_of_place_map(before).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
+def test_naive_map_leaves_values_and_counts_2n_cubed():
+    n = 12
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    before = x.copy()
+    counter = MultiplyCounter()
+    rd = range_doppler_map(SymbolMatrix(x), method="naive", counter=counter)
+    assert x.tobytes() == before.tobytes()
+    assert counter.count == 2 * n ** 3
+    assert np.max(np.abs(rd.magnitude_db - out_of_place_map(before))) < 1e-6
+
+
+def test_counter_on_fast_map_refused_before_writing():
+    x = np.ones((8, 8), dtype=complex)
+    with pytest.raises(ValueError, match="naive"):
+        range_doppler_map(SymbolMatrix(x), method="fast", counter=MultiplyCounter())
+    assert np.array_equal(x, np.ones((8, 8)))
 
 
 def test_all_ones_peaks_at_dc(small_cfg):

@@ -99,3 +99,20 @@ def test_counter_on_fast_path_refused(transform):
     with pytest.raises(ValueError, match="naive"):
         transform(np.ones(8, dtype=complex), method="fast", counter=counter)
     assert counter.count == 0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_fast_out_receives_the_result_in_place(axis):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+    for transform, fresh in ((dft, np.fft.fft), (idft, np.fft.ifft)):
+        buf = x.copy()
+        assert transform(buf, axis=axis, out=buf) is buf
+        assert np.array_equal(buf, fresh(x, axis=axis))
+
+
+def test_out_on_naive_path_refused():
+    x = np.ones(8, dtype=complex)
+    with pytest.raises(ValueError, match="fast"):
+        dft(x, method="naive", out=x)
+    assert np.array_equal(x, np.ones(8))
