@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OfdmConfig, Target, doppler_bin, range_bin, tone_pair_bins
+from .config import (OfdmConfig, Target, doppler_bin, finite_number, range_bin,
+                     tone_pair_bins)
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,27 @@ class NoiseSpec:
     """Additive complex white Gaussian noise level.
 
     snr_db is measured against the strongest target's per-sample amplitude.
-    A noiseless run passes no NoiseSpec at all (noise=None).
+    A noiseless run passes no NoiseSpec at all (noise=None). An snr_db whose
+    noise variance at unit reference, 1 / 10 ** (snr_db / 10), is not
+    positive and finite (beyond about +-3082 dB) is refused.
     """
 
     snr_db: float
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        # A float skips finite_number, so the check below words nan and inf
+        # as "snr_db must be finite".
+        snr_db = self.snr_db
+        if not isinstance(snr_db, float):
+            snr_db = finite_number("snr_db", snr_db)
+        try:
+            variance = 1.0 / 10.0 ** (snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            variance = 0.0
+        if not 0 < variance < math.inf:
+            raise ValueError(f"snr_db must be finite and give a positive, finite "
+                             f"noise variance, got {snr_db!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +59,9 @@ class LinkBudget:
     rx_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.tx_power, self.tx_gain, self.rx_gain) <= 0:
-            raise ValueError("link budget terms must be positive")
+        for name, v in self.__dict__.items():
+            if finite_number(name, v) <= 0:
+                raise ValueError(f"link budget term {name} must be positive, got {v!r}")
 
 
 @dataclass(frozen=True)

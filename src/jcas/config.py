@@ -65,6 +65,8 @@ class OfdmConfig:
                                   ("time", self.n_symbols, self.n_sensing_time)):
             if total % comb:
                 raise ValueError(f"{axis} comb spacing {total}/{comb} is not an integer")
+            if comb < 2:
+                raise ValueError(f"{axis} comb needs at least 2 sensing signals, got {comb}")
 
     @classmethod
     def table1(cls) -> "OfdmConfig":

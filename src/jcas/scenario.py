@@ -7,7 +7,7 @@ offset is metadata only; ranges evolve as initial_range + speed * t.
 Scene files are TOML 1.0, read by the standard library's tomllib::
 
     [scene]
-    measurement_times_s = [0.0, 0.2, 0.6]
+    measurement_times_s = [0.0, 0.2, 0.6]   # one time may be a bare number
 
     [[vehicle]]
     name = "A"
@@ -19,11 +19,13 @@ Scene files are TOML 1.0, read by the standard library's tomllib::
 An optional [ofdm] section may override block-geometry fields (keys matching
 OfdmConfig constructor arguments). A [scene] frame_interval_s must be positive
 and finite, but nothing reads it: frame times are the measurement times.
+
+VehicleSpec, Scene and OfdmConfig check their own fields, and load_scene
+calls each with its TOML table as keywords: Python and files share one check.
 """
 
 from __future__ import annotations
 
-import math
 import tomllib
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,12 +42,14 @@ class VehicleSpec:
     lane: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.initial_range_m < math.inf:
-            raise ValueError(f"vehicle {self.name}: initial range must be > 0 and finite")
-        if not math.isfinite(self.relative_speed_mps):
-            raise ValueError(f"vehicle {self.name}: relative speed must be finite")
-        if not 0 < self.rcs_m2 < math.inf:
-            raise ValueError(f"vehicle {self.name}: RCS must be > 0 and finite")
+        for key, v in (("name", self.name), ("lane", self.lane)):
+            if not isinstance(v, str) and (key == "name" or v is not None):
+                raise ValueError(f"vehicle {key} must be a string, got {v!r}")
+        for key in ("initial_range_m", "relative_speed_mps", "rcs_m2"):
+            v = finite_number(key, getattr(self, key))
+            if v <= 0 and key != "relative_speed_mps":
+                raise ValueError(f"vehicle {self.name}: {key} must be > 0, got {v:g}")
+            object.__setattr__(self, key, v)
 
     def range_at(self, t: float) -> float:
         return self.initial_range_m + self.relative_speed_mps * t
@@ -58,10 +62,13 @@ class Scene:
 
     def __post_init__(self) -> None:
         times = self.measurement_times_s
-        if not times or not all(0 <= t < math.inf for t in times):
+        times = tuple(finite_number("measurement_times_s", t)
+                      for t in (times if isinstance(times, (list, tuple)) else (times,)))
+        if not times or min(times) < 0:
             raise ValueError("measurement_times_s must be one or more finite times >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("measurement_times_s must be strictly increasing")
+        object.__setattr__(self, "measurement_times_s", times)
 
 
 def targets_at(scene: Scene, t: float) -> list[Target]:
@@ -146,11 +153,12 @@ def _table(doc: dict, name: str) -> dict:
     return table
 
 
-def _text(key: str, v) -> str:
-    """v itself if it is a string; any other TOML value (a list, a bool, a date) is refused."""
-    if not isinstance(v, str):
-        raise ValueError(f"vehicle {key} must be a string, got {v!r}")
-    return v
+def _built(section: str, cls, table: dict, **fixed):
+    """cls(**fixed, **table); a missing or unknown key's TypeError is a ValueError."""
+    try:
+        return cls(**fixed, **table)
+    except TypeError as exc:
+        raise ValueError(f"bad {section}: {exc}") from None
 
 
 def _vehicle_from(entry: dict) -> VehicleSpec:
@@ -163,20 +171,7 @@ def _vehicle_from(entry: dict) -> VehicleSpec:
             entry["rcs_m2"] = 10.0 ** (dbsm / 10.0)
         except OverflowError:
             raise ValueError(f"rcs_dbsm = {dbsm:g} overflows the float range") from None
-    try:
-        spec = VehicleSpec(
-            name=_text("name", entry.pop("name")),
-            initial_range_m=finite_number("initial_range_m", entry.pop("initial_range_m")),
-            relative_speed_mps=finite_number("relative_speed_mps",
-                                             entry.pop("relative_speed_mps")),
-            rcs_m2=finite_number("rcs_m2", entry.pop("rcs_m2")),
-            lane=_text("lane", entry.pop("lane")) if "lane" in entry else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"vehicle block missing key {exc}") from None
-    if entry:
-        raise ValueError(f"unknown vehicle keys: {sorted(entry)}")
-    return spec
+    return _built("[[vehicle]] block", VehicleSpec, entry)
 
 
 def load_scene(path: str | Path) -> SceneFile:
@@ -196,23 +191,10 @@ def load_scene(path: str | Path) -> SceneFile:
     if not blocks:
         raise ValueError("scene file defines no [[vehicle]] blocks")
     vehicles = tuple(_vehicle_from(b) for b in blocks)
-    ofdm: OfdmConfig | None = None
-    if "ofdm" in doc:
-        try:
-            ofdm = OfdmConfig(**(OfdmConfig.table1().__dict__ | _table(doc, "ofdm")))
-        except TypeError as exc:
-            raise ValueError(f"bad [ofdm] section: {exc}") from None
+    ofdm = _built("[ofdm] section", OfdmConfig,
+                  OfdmConfig.table1().__dict__ | _table(doc, "ofdm")) if "ofdm" in doc else None
     scene_kw = dict(_table(doc, "scene"))
-    interval = scene_kw.pop("frame_interval_s", None)
-    if interval is not None and finite_number("frame_interval_s", interval) <= 0:
+    if finite_number("frame_interval_s", scene_kw.pop("frame_interval_s", 1.0)) <= 0:
         raise ValueError("frame_interval_s must be positive and finite")
-    times = scene_kw.pop("measurement_times_s", [0.0])
-    if not isinstance(times, list):
-        times = [times]
-    scene = Scene(
-        vehicles=vehicles,
-        measurement_times_s=tuple(finite_number("measurement_times_s", t) for t in times),
-    )
-    if scene_kw:
-        raise ValueError(f"unknown scene keys: {sorted(scene_kw)}")
+    scene = _built("[scene] section", Scene, scene_kw, vehicles=vehicles)
     return SceneFile(scene=scene, ofdm=ofdm)

@@ -63,6 +63,14 @@ class TestRxPower:
         assert gap == pytest.approx(power_ratio_db(s1, r1, s2, r2), abs=1e-9)
 
 
+@pytest.mark.parametrize("terms", [{"tx_power": float("nan")}, {"tx_power": "1"},
+                                   {"rx_gain": True}, {"tx_gain": 0.0}],
+                         ids=["nan", "str", "bool", "zero"])
+def test_link_budget_refuses_non_positive_or_non_numbers(terms):
+    with pytest.raises(ValueError):
+        LinkBudget(**terms)
+
+
 class TestBinMaps:
     def test_range_bin_oracle(self, table1, unequal_cfg):
         for cfg in (table1, unequal_cfg):
@@ -223,6 +231,13 @@ class TestNoise:
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(snr_db=float("inf"))
+
+    # 3083 overflows 10 ** (snr_db / 10), -3090 makes the variance 1/subnormal
+    # infinite and -3240 makes the divisor zero.
+    @pytest.mark.parametrize("snr_db", [True, "20", 3083.0, 1e308, -3090.0, -3240.0])
+    def test_snr_without_positive_finite_variance_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be"):
+            NoiseSpec(snr_db=snr_db)
 
 
 class TestTargetAmplitudes:

@@ -607,6 +607,40 @@ def test_simulate_refuses_non_finite_snr_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr_db", ["3083", "1e308", "-3090", "-3240"])
+def test_simulate_refuses_snr_without_finite_noise_before_output(tmp_path, capsys, snr_db):
+    # These used to end in an OverflowError or ZeroDivisionError traceback or
+    # in non-finite samples, each after --out existed.
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", "fig5", f"--snr-db={snr_db}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: snr_db must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["3082", "-3082"])
+def test_simulate_runs_at_extreme_finite_snr(tmp_path, snr_db):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", "fig5", f"--snr-db={snr_db}", "--out", str(out)]) == 0
+    assert (out / "detections.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--window", "hamming"], ["simulate", "--window", "adaptive"],
+    ["simulate", "--window", "rect"], ["simulate", "--estimator", "grid2d"],
+    ["capabilities"],
+], ids=["hamming", "adaptive", "rect", "grid2d", "capabilities"])
+def test_one_signal_comb_refused_before_output(tmp_path, capsys, argv):
+    # A Hamming window of one point used to fail after --out existed.
+    scene = tmp_path / "one.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace("40.0", "0.1").replace("5.0", "0.0")
+                     + "[ofdm]\nn_sensing_freq = 1\nn_sensing_time = 1\n")
+    out = tmp_path / "run"
+    outs = ["--out", str(out)] if argv[0] == "simulate" else []
+    assert main([*argv, "--scene", str(scene), *outs]) == 1
+    assert "at least 2 sensing signals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scene(tmp_path, capsys):
     rc = main(["simulate", "--scene", "fig9", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -60,6 +60,15 @@ def test_non_integral_comb_spacing_rejected():
                    n_sensing_freq=481, n_sensing_time=480)
 
 
+@pytest.mark.parametrize("comb", [{"n_sensing_freq": 1}, {"n_sensing_time": 1}],
+                         ids=["frequency", "time"])
+def test_one_signal_comb_rejected(table1, comb):
+    # A 1-point Hamming window does not exist, so such a run used to fail
+    # after --out existed.
+    with pytest.raises(ValueError, match="at least 2 sensing signals"):
+        dataclasses.replace(table1, **comb)
+
+
 def test_useful_symbol_duration_follows_spacing(table1):
     cfg = dataclasses.replace(table1, subcarrier_spacing=60e3)
     assert cfg.useful_symbol_duration == 1.0 / 60e3

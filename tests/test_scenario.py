@@ -63,6 +63,24 @@ def test_negative_time_rejected():
         targets_at(builtin_scene("fig4"), -0.1)
 
 
+_CAR = VehicleSpec("A", 10.0, 5.0, 3.16)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: VehicleSpec("A", True, 5.0, 3.16),           # a bool is no 1 m range
+    lambda: VehicleSpec(5, 10.0, 5.0, 3.16),
+    lambda: VehicleSpec("A", 10.0, 5.0, 3.16, lane=7),
+    lambda: VehicleSpec("A", "10", 5.0, 3.16),
+    lambda: Scene((_CAR,), (True,)),
+    lambda: Scene((_CAR,), ("a",)),
+], ids=["range-bool", "name-int", "lane-int", "range-str", "time-bool", "time-str"])
+def test_scene_built_in_python_refuses_what_a_file_refuses(build):
+    # The file path used to check these on the types' behalf, so Python
+    # callers got them accepted or as a TypeError.
+    with pytest.raises(ValueError):
+        build()
+
+
 SCENE_TEXT = """
 # two-car scene
 [scene]
@@ -96,6 +114,35 @@ def test_load_scene_file(tmp_path):
     assert lead.lane == "center"
     assert far.rcs_m2 == 2.5
     assert far.lane is None
+
+
+def test_file_numbers_load_as_floats(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT.replace("initial_range_m = 25.0", "initial_range_m = 25")
+                    .replace("[0.0, 0.2]", "0.5"))
+    scene = load_scene(path).scene
+    assert type(scene.vehicles[0].initial_range_m) is float
+    assert scene.vehicles[0].initial_range_m == 25.0
+    assert scene.measurement_times_s == (0.5,)
+    assert type(scene.measurement_times_s[0]) is float
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('name = "lead"\n', "",
+     "bad [[vehicle]] block: VehicleSpec.__init__() missing 1 required positional "
+     "argument: 'name'"),
+    ('lane = "center"', 'lane = "center"\ncolour = "red"', "bad [[vehicle]] block: "),
+    ("frame_interval_s = 0.030", "frame_interval_s = 0.030\nvehicles = 1",
+     "bad [scene] section: "),
+    ("frame_interval_s = 0.030", "frame_interval_s = 0.030\nlength_s = 1.0",
+     "bad [scene] section: "),
+], ids=["missing-name", "unknown-vehicle-key", "scene-vehicles", "unknown-scene-key"])
+def test_missing_or_unknown_key_named_like_ofdm(tmp_path, old, new, message):
+    path = tmp_path / "scene.cfg"
+    path.write_text(SCENE_TEXT.replace(old, new, 1))
+    with pytest.raises(ValueError) as info:
+        load_scene(path)
+    assert str(info.value).startswith(message)
 
 
 def test_load_scene_with_ofdm_override(tmp_path):
