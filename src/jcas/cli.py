@@ -8,8 +8,8 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-Numbers are written as "%.6g" renders them (templates, or numpy text in
-write_rdmap_csv); identical configuration and seed give byte-identical files.
+Numbers are written as "%.6g" renders them (templates, or numpy-built records and "%.6g"
+lines in write_rdmap_csv); identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def fmt(x) -> str:
 
 
 def _load_scene_arg(arg: str) -> tuple[Scene, OfdmConfig]:
-    if Path(arg).exists():
+    if (path := Path(arg)).exists() and not path.is_dir():
         sf = load_scene(arg)
         return sf.scene, sf.ofdm or OfdmConfig.table1()
     try:
@@ -77,19 +77,21 @@ def _rdmap_digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """Text of six significant digits z = 1000*hi + lo, NUL where "%.6g" has none.
 
     head[hi + 1000*e + 3000*(lo != 0) + 6000*(x < 0)] holds the sign, hi's digits
-    and a '.' after digit e in 8 bytes; tail[lo] holds lo's digits in 4. Trailing
-    zeros of the fraction, and a '.' with nothing after it, are NUL.
+    and a '.' after digit e, packed to the left of 8 bytes, of which at most 5 are
+    text; tail[lo] holds lo's digits and a newline in 4. Trailing zeros of the
+    fraction, and a '.' with nothing after it, are NUL.
     """
     pad = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)
     zeros = np.cumprod(pad[:, ::-1] == 48, axis=1).sum(axis=1)[:, None]
     j = np.arange(3)
     head = np.zeros((2, 2, 3, 1000, 8), np.uint8)
-    head[1, ..., 0] = ord("-")
     for more in (0, 1):
         for e in range(3):
-            head[:, more, e, :, 1:7:2] = pad * ((j <= e) | more | (j < 3 - zeros))
-            head[:, more, e, :, 2 * e + 2] = ord(".") * (more | (zeros[:, 0] < 2 - e))
-    tail = np.zeros((1000, 4), np.uint8)
+            head[0, more, e][:, j + (j > e)] = pad * ((j <= e) | more | (j < 3 - zeros))
+            head[0, more, e, :, e + 1] = ord(".") * (more | (zeros[:, 0] < 2 - e))
+    head[1, ..., 0] = ord("-")
+    head[1, ..., 1:] = head[0, ..., :7]
+    tail = np.full((1000, 4), ord("\n"), np.uint8)
     tail[:, :3] = pad * (j < 3 - zeros)
     return head.reshape(12000, 8).view(np.uint64)[:, 0], tail.view(np.uint32)[:, 0]
 
@@ -98,48 +100,55 @@ def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
     The text equals "%.6g" of every cell, byte for byte. A few map rows at a time, each
-    cell fills a fixed-width line ("p,", "q,", 13 number bytes, newline) whose padding,
-    NUL or space, translate() deletes. A cell with 1 <= |x| < 1000 after rounding takes
-    its text from _rdmap_digit_tables by its digits z = rint(s), s = |x| * 10**(5-e):
-    s carries one rounding error, under 1.2e-10, so z is what "%.6g" rounds to unless
-    s lies within 1e-6 of a half. Such a cell, and every other one, goes through
-    "%-13.6g" alone, found by a byte scan (count-sized numpy arrays pin heap chunks).
+    cell fills a fixed-width record: "p,", "q,", an 8-byte head and a 4-byte tail over
+    the head's unused last 3 bytes (17 bytes on a 480 x 480 map). A cell with
+    1 <= |x| < 1000 after rounding takes both from _rdmap_digit_tables by its digits
+    z = rint(s), s = |x| * 10**(5-e): s carries one rounding error, under 1.2e-10, so z
+    is what "%.6g" rounds to unless s lies within 1e-6 of a half. Any other cell, found
+    by a byte scan (count-sized numpy arrays pin heap chunks), is its own "%.6g" line
+    between runs of records. replace() drops the NULs at one memchr each, which is fast
+    only on records this small: they hold under one NUL each on a typical map.
     """
     db = rd.magnitude_db
     n_f, n_t = db.shape
     pw, qw = len(str(n_f - 1)) + 1, len(str(n_t - 1)) + 1
     o = pw + qw
-    cell = np.dtype({"names": ["p", "q", "head", "tail", "text", "nl"],
-                     "formats": [f"S{pw}", f"S{qw}", "u8", "u4", "S13", "u1"],
-                     "offsets": [0, pw, o, o + 8, o, o + 13]})
+    cell = np.dtype({"names": ["p", "q", "head", "tail"],
+                     "formats": [f"S{pw}", f"S{qw}", "u8", "u4"],
+                     "offsets": [0, pw, o, o + 5], "itemsize": o + 9})
     head, tail = _rdmap_digit_tables()
     step = max(1, _RDMAP_BLOCK_CELLS // n_t)
-    blank = np.zeros((step, n_t), cell)
-    blank["q"] = np.array([f"{q}," for q in range(n_t)], cell["q"])
-    blank["nl"] = ord("\n")
-    blank = blank.view(np.uint8)  # a plain byte copy per block, not per field
+    rows = np.array([f"{p}," for p in range(n_f)], cell["p"])[:, None]
+    cells = np.zeros((step, n_t), cell)
+    cells["q"] = np.array([f"{q}," for q in range(n_t)], cell["q"])
+    buf, rec = cells.view(np.uint8).reshape(-1), cell.itemsize
     with open(path, "wb") as f:
         f.write(b"p,q,magnitude_db\n")
         for p in range(0, n_f, step):
             x = db[p:p + step]
-            cells = blank[:len(x)].copy().view(cell)
-            cells["p"] = np.array([f"{i}," for i in range(p, p + len(x))], cell["p"])[:, None]
+            block = cells[:len(x)]
+            block["p"] = rows[p:p + len(x)]
             a = np.abs(x)
-            ok = (a >= 1) & (a < 1000)
+            ok = a >= 1
             e = (a >= 10).astype(np.intp) + (a >= 100)
-            s = np.where(ok, a, 1.0) * _RDMAP_SCALE[e]
-            z = np.rint(s)
-            ok &= (z < 1e6) & (np.abs(s - z) < 0.5 - 1e-6)
-            z = np.where(ok, z, 1e5)  # keeps every index in the tables
-            hi = np.floor(z / 1000)
+            np.fmin(a, 1e3, out=a)  # NaN, |x| >= 1000 -> z >= 1e6, so no overflow
+            a *= _RDMAP_SCALE[e]
+            z = np.rint(a)
+            a -= z
+            ok &= (z < 1e6) & (np.abs(a, out=a) < 0.5 - 1e-6)
+            z = z.astype(np.intp)
+            hi = z // 1000
             lo = z - 1000 * hi
-            cells["head"] = head[(hi + 1000 * e + 3000 * (lo != 0)
-                                  + 6000 * (x < 0)).astype(np.intp)]
-            cells["tail"] = tail[lo.astype(np.intp)]
-            text, flags, i = cells["text"].reshape(-1), (~ok).tobytes(), -1
-            while (i := flags.find(1, i + 1)) >= 0:
-                text[i] = b"%-13.6g" % x.item(i)
-            f.write(cells.tobytes().translate(None, b"\0 "))
+            hi += 1000 * e + 3000 * np.minimum(lo, 1) + 6000 * (x < 0)
+            block["head"] = head.take(hi, mode="clip")  # a cell not ok may index past the end
+            block["tail"] = tail[lo]
+            flags, pieces, i, j = ok.tobytes(), [], 0, -1
+            while (j := flags.find(0, j + 1)) >= 0:
+                line = b"%d,%d,%.6g\n" % (p + j // n_t, j % n_t, x.item(j))
+                pieces += buf[i * rec:j * rec], line
+                i = j + 1
+            pieces.append(buf[i * rec:x.size * rec])
+            f.write(b"".join(pieces).replace(b"\0", b""))
 
 
 # One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.

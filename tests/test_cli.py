@@ -90,16 +90,47 @@ def _crafted_cells() -> np.ndarray:
     return np.concatenate([cells, -cells, [0.0, -0.0, -300.0, np.nan, np.inf, -np.inf]])
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 1003), (1003, 2), (37, 41)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1003), (1003, 2), (37, 41), (300, 41),
+                                   (9, 1003)])
 def test_write_rdmap_csv_crafted_cells_match_oracle(tmp_path, shape):
     # Near-ties (k + 0.5) * 10**-j and their one-ulp neighbours, decade edges,
     # |x| < 1, |x| >= 1000 and the non-finite cells; 2 x 1003 and 1003 x 2
-    # put an index >= 1000 into q and into p; 1 x 1 maps take every 16th cell.
+    # put an index >= 1000 into q and into p; 1 x 1 maps take every 16th cell;
+    # 300 x 41 and 9 x 1003 span several blocks of rows.
     cells = _crafted_cells()
     for start in range(0, len(cells), max(shape[0] * shape[1], len(cells) // 16)):
         db = np.resize(np.roll(cells, -start), shape)
         _assert_rdmap_matches_oracle(tmp_path, db)
         _assert_rdmap_matches_oracle(tmp_path, np.asfortranarray(db))
+
+
+@pytest.mark.parametrize("shape", [(300, 41), (9, 1003), (1, 5000)])
+def test_write_rdmap_csv_percent_cells_at_block_edges_match_oracle(tmp_path, shape):
+    # Cells the digit tables cannot render are written as their own lines
+    # between runs of records: put them on the first and last cell of every
+    # block, on two adjacent cells, and then on every cell.
+    n_f, n_t = shape
+    step = max(1, jcas.cli._RDMAP_BLOCK_CELLS // n_t)
+    db = np.random.default_rng(n_f).uniform(-320.0, 0.0, size=shape)
+    odd = [0.0, -0.0, np.nan, -np.inf, -0.5, -1234.5, 1e-5, -99.99995]
+    firsts = np.arange(0, n_f, step) * n_t
+    lasts = np.minimum(firsts + step * n_t, n_f * n_t) - 1
+    spots = np.r_[firsts, lasts, 5, 6]
+    db.flat[spots] = np.resize(odd, len(spots))
+    _assert_rdmap_matches_oracle(tmp_path, db)
+    _assert_rdmap_matches_oracle(tmp_path, np.resize(odd, shape))
+
+
+def test_write_rdmap_csv_every_digit_table_entry_matches_oracle(tmp_path):
+    # z = 1000 * hi + lo at each decade e, so each head entry is read: every
+    # hi, both signs, with and without fraction digits past hi; lo covers no,
+    # some and all trailing zeros, and hi = 123 at e = 1 with every lo reads
+    # every tail entry.
+    hi, e, lo = np.meshgrid(np.arange(100, 1000), np.arange(3), [0, 1, 10, 100, 120, 999],
+                            indexing="ij")
+    z = np.r_[(1000 * hi + lo).ravel(), 123000 + np.arange(1000)]
+    x = z / 10.0 ** (5 - np.r_[e.ravel(), np.ones(1000, int)])
+    _assert_rdmap_matches_oracle(tmp_path, np.r_[x, -x].reshape(172, 200))
 
 
 @settings(max_examples=60, deadline=None,
@@ -639,6 +670,29 @@ def test_one_signal_comb_refused_before_output(tmp_path, capsys, argv):
     assert main([*argv, "--scene", str(scene), *outs]) == 1
     assert "at least 2 sensing signals" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_directory_named_like_builtin_scene_runs_builtin(tmp_path, monkeypatch, capsys):
+    # Once --out fig4 existed, --scene fig4 read the directory as a scene
+    # file and failed with "[Errno 21] Is a directory".
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scene", "fig4", "--out", "fig4"]) == 0
+    first = (tmp_path / "fig4" / "detections.csv").read_bytes()
+    assert main(["simulate", "--scene", "fig4", "--out", "fig4"]) == 0
+    assert (tmp_path / "fig4" / "detections.csv").read_bytes() == first
+    capsys.readouterr()
+    assert main(["capabilities", "--scene", "fig4"]) == 0
+    assert "178.571" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "capabilities"])
+def test_directory_scene_is_refused_before_output(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notascene").mkdir()
+    outs = ["--out", "run"] if command == "simulate" else []
+    assert main([command, "--scene", "notascene", *outs]) == 1
+    assert "scene 'notascene' is neither a file nor a builtin name" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_unknown_scene(tmp_path, capsys):
