@@ -1,4 +1,4 @@
-"""Command-line front end: scenario -> channel -> estimators -> CSV reports.
+"""Command-line front end: run_scene (scenario -> channel -> estimators) -> CSV reports.
 
 Subcommands::
 
@@ -17,16 +17,19 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bench as bench_mod
 from .channel import (LinkBudget, NoiseSpec, synthesize_diag, synthesize_grid,
                       target_amplitudes)
-from .config import OfdmConfig, capabilities, overhead, sensing_positions
-from .diag_estimator import WINDOW_MODES, PeakPair, RadarImage, process_frame
-from .grid_estimator import detect_peaks_2d, range_doppler_map
+from .config import OfdmConfig, capabilities, overhead, sensing_positions, tone_pair_bins
+from .diag_estimator import (WINDOW_MODES, DiagFrame, PeakPair, RadarImage, WindowKind,
+                             process_frame)
+from .grid_estimator import GridDetection, detect_peaks_2d, range_doppler_map
 from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
                        targets_at)
 from .tracking import TrackTable, resolve_ambiguity
@@ -165,44 +168,81 @@ def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list
     return rows
 
 
+class SceneFrame(NamedTuple):
+    """One non-empty frame of run_scene; an estimator the run skips leaves its fields None."""
+
+    t: float
+    diag: DiagFrame | None
+    tracks: TrackTable | None  # updated in place: read owner before the next frame
+    rdmap: RadarImage | None
+    grid_detections: list[GridDetection] | None
+
+
+def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], grid: bool,
+              noise: NoiseSpec | None, seed: int) -> Iterator[SceneFrame]:
+    """The one frame loop: each measurement time through the diagonal and the tracker
+    (if windows) and the grid (if grid), yielded a frame at a time. Every refusal comes
+    at the call: a negative seed, check_unambiguous_range, with windows a non-square comb
+    or a tone at or past bin n_diag, and a degenerate echo power. Frames with no vehicle
+    ahead are skipped; a time's index in the time list seeds that frame's phases.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_unambiguous_range(scene, cfg)
+    if windows:
+        cfg.validate_diagonal()
+        for t in scene.measurement_times_s:
+            for v in scene.vehicles:
+                l = max(map(abs, tone_pair_bins(cfg, v.range_at(t), v.relative_speed_mps)))
+                if v.range_at(t) > 0 and l >= cfg.n_diag:
+                    raise ValueError(f"vehicle {v.name} at t={t:g} s puts a diagonal tone at "
+                                     f"bin {l:g}, at or beyond n_diag = {cfg.n_diag}: it wraps")
+    frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, seed, fidx))
+              for fidx, t in enumerate(scene.measurement_times_s)
+              if (targets := targets_at(scene, t))]
+
+    def run() -> Iterator[SceneFrame]:
+        tracks = TrackTable() if windows else None
+        for t, targets, amps in frames:
+            diag = rd = dets = None
+            if windows:
+                diag = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
+                tracks = resolve_ambiguity(cfg, tracks, (t, diag.pairs))
+            if grid:
+                rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
+                dets = detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)
+            yield SceneFrame(t, diag, tracks, rd, dets)
+    return run()
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
-    check_unambiguous_range(scene, cfg)
     times = scene.measurement_times_s
     for a, b in zip(times, times[1:]):  # fmt is monotonic, so a clash is adjacent
         if fmt(a) == fmt(b):
             raise ValueError(f"measurement times {a!r} and {b!r} both print as "
                              f"{fmt(a)}, so one frame's files would overwrite the other's")
-    run_diag = args.estimator in ("diag", "both")
-    run_grid = args.estimator in ("grid2d", "both")
-    if run_diag:
-        cfg.validate_diagonal()
+    windows = WINDOW_MODES[args.window] if args.estimator != "grid2d" else ()
+    run_grid = args.estimator != "diag"
     noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
-    # Every non-empty frame's echoes, so a degenerate echo power fails
-    # before --out exists; the frame index seeds the reflection phases.
-    frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, args.seed, fidx))
-              for fidx, t in enumerate(times) if (targets := targets_at(scene, t))]
+    frames = run_scene(scene, cfg, windows, run_grid, noise, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    windows = WINDOW_MODES[args.window]
-    tracks = TrackTable()
+    tracks = TrackTable()  # what tracks.csv lists when no frame has a vehicle
     det_rows: list[str] = []
     grid_rows: list[str] = []
-    for t, targets, amps in frames:
-        if run_diag:
-            frame = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
-            for kind, img in frame.images.items():
+    for t, diag, tracks, rd, dets in frames:
+        if windows:
+            for kind, img in diag.images.items():
                 suffix = f"_{kind.value}" if len(windows) > 1 else ""
                 write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
-            tracks = resolve_ambiguity(cfg, tracks, (t, frame.pairs))
-            det_rows += _detection_rows(t, frame.pairs, tracks)
+            det_rows += _detection_rows(t, diag.pairs, tracks)
         if run_grid:
-            rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
             write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
             grid_rows += ["%.6g,%d,%d,%.6g,%.6g,%.6g" % (
                 t, det.range_bin, det.doppler_bin, det.magnitude_db, det.range_m,
-                det.velocity_mps) for det in detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)]
-    if run_diag:
+                det.velocity_mps) for det in dets]
+    if windows:
         _write_csv(out_dir / "detections.csv",
                    "time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
                    "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",

@@ -8,6 +8,7 @@ reproducible bit-for-bit.
 """
 
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,16 +16,15 @@ import pytest
 from jcas.bench import count_ops
 from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
                           synthesize_grid, target_amplitudes)
+from jcas.cli import run_scene
 from jcas.config import OfdmConfig, Target, capabilities, overhead, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  RadarImage, WindowKind, apply_window,
                                  candidates, detect_peaks_1d, diag_spectrum,
-                                 pair_peaks, process_frame, psl,
-                                 window_coefficients)
+                                 pair_peaks, psl, window_coefficients)
 from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
-from jcas.tracking import TrackTable, resolve_ambiguity
 from jcas.transforms import dft, idft
 from oracles import brute_2d, brute_dft, power_ratio_db
 
@@ -47,11 +47,12 @@ def _criterion(num, name):
     print(f"criterion {num:2d} ({name}): PASS")
 
 
-def _scene_frame(scene_name, t, frame_index, window):
-    scene = builtin_scene(scene_name)
-    targets = targets_at(scene, t)
-    amps = target_amplitudes(CFG, BUDGET, targets, SCENE_SEED, frame_index)
-    frame = process_frame(synthesize_diag(CFG, targets, amps), (window,))
+def _scene_records(scene_name, windows):
+    return run_scene(builtin_scene(scene_name), CFG, windows, False, None, SCENE_SEED)
+
+
+def _scene_frame(scene_name, frame_index, window):
+    frame = next(islice(_scene_records(scene_name, (window,)), frame_index, None)).diag
     return frame.images[window], frame.peaks, frame.pairs, frame.orphans
 
 
@@ -134,18 +135,18 @@ def test_criterion_6_two_car_masking_behavior():
     with _criterion(6, "masking: rect hides the far car, Hamming recovers it"):
         # t0, rectangular: the far car sits below the near car's sidelobe
         # skirt; only the near car's pair survives pairing
-        _, _, pairs, _ = _scene_frame("fig4", 0.0, 0, WindowKind.RECTANGULAR)
+        _, _, pairs, _ = _scene_frame("fig4", 0, WindowKind.RECTANGULAR)
         assert len(pairs) == 1
         _pair_near(pairs, 88, 121)
         # t0, Hamming: both pairs, far car about 32 dB down
-        _, peaks, pairs, _ = _scene_frame("fig4", 0.0, 0, WindowKind.HAMMING)
+        _, peaks, pairs, _ = _scene_frame("fig4", 0, WindowKind.HAMMING)
         assert len(peaks) == 4 and len(pairs) == 2
         near_pair = _pair_near(pairs, 88, 121)
         far_pair = _pair_near(pairs, 79, 131)
         gap = near_pair.magnitude_db - far_pair.magnitude_db
         assert gap == pytest.approx(32.0, abs=1.0)
         # t2, rectangular: similar returns, both pairs visible
-        _, _, pairs, _ = _scene_frame("fig4", 0.6, 2, WindowKind.RECTANGULAR)
+        _, _, pairs, _ = _scene_frame("fig4", 2, WindowKind.RECTANGULAR)
         assert len(pairs) == 2
         near_pair = _pair_near(pairs, 56, 153)
         far_pair = _pair_near(pairs, 87, 139)
@@ -184,10 +185,14 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
         # reflection phase. On seeds 1-8 both sidelobe checks held every
         # time; the rectangular split failed at seed 2 and the Hamming merge
         # at seeds 4, 6 and 8. The seed stays SCENE_SEED, shared by every
-        # scene criterion.
+        # scene criterion. The fine image needs the frame's complex samples,
+        # which the runner does not yield, so they are synthesized here and
+        # checked against the runner's own images below.
         targets = targets_at(builtin_scene("fig5"), 0.0)
         amps = target_amplitudes(CFG, BUDGET, targets, SCENE_SEED, 0)
         d = synthesize_diag(CFG, targets, amps)
+        windows = (WindowKind.RECTANGULAR, WindowKind.HAMMING)
+        images = next(_scene_records("fig5", windows)).diag.images
         n = len(d.values)
         bins = np.arange(OVERSAMPLE * n) / OVERSAMPLE  # native-bin units
         tones = [b for tgt in targets
@@ -195,14 +200,14 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
         moto = targets[1]
         weak_tones = tone_pair_bins(CFG, moto.range_m, moto.radial_velocity_mps)
         failures = []
-        for window in (WindowKind.RECTANGULAR, WindowKind.HAMMING):
+        for window in windows:
             windowed = apply_window(d, window)
             db, ref = to_normalized_db(
                 np.abs(np.fft.fft(windowed.values, OVERSAMPLE * n)))
-            # every OVERSAMPLE-th sample is the library's own image; compared
+            # every OVERSAMPLE-th sample is the runner's own image; compared
             # in absolute dB because a peak between bins (Hamming here) moves
             # the fine image's 0 dB reference
-            native = diag_spectrum(windowed)
+            native = images[window]
             guard = np.max(np.abs(db[::OVERSAMPLE] + ref
                                   - native.magnitude_db - native.reference_level))
             assert guard <= 1e-9, f"{window.value}: fine image off by {guard} dB"
@@ -242,12 +247,12 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
 
 def test_criterion_8_multi_frame_ambiguity_resolution():
     with _criterion(8, "two-frame tracking resolves the range-velocity swap"):
-        tracks = TrackTable()
         frames = {}
-        for fidx, t in enumerate((0.0, 0.2)):
-            _, _, pairs, _ = _scene_frame("fig4", t, fidx, WindowKind.HAMMING)
+        # the frames at 0.0 and 0.2 s; the runner tracks them as it yields them
+        records = islice(_scene_records("fig4", (WindowKind.HAMMING,)), 2)
+        for fidx, (t, frame, tracks, _, _) in enumerate(records):
+            pairs = frame.pairs
             frames[t] = pairs
-            tracks = resolve_ambiguity(CFG, tracks, (t, pairs))
             if fidx == 0:
                 # the track that opened on the far car's pair
                 far_track = [tr for pair, tr in zip(pairs, tracks.owner)

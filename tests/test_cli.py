@@ -10,8 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 import jcas.cli
 import jcas.diag_estimator
-from jcas.cli import build_parser, fmt, main, write_image_csv, write_rdmap_csv
-from jcas.diag_estimator import PeakPair, RadarImage, candidates
+from jcas.channel import LinkBudget, synthesize_diag, target_amplitudes
+from jcas.cli import build_parser, fmt, main, run_scene, write_image_csv, write_rdmap_csv
+from jcas.config import OfdmConfig
+from jcas.diag_estimator import PeakPair, RadarImage, WindowKind, candidates, process_frame
+from jcas.scenario import Scene, VehicleSpec
 from oracles import template_rdmap_csv
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
@@ -522,6 +525,131 @@ rcs_m2 = 3.16
     assert f"vehicle racer moves at {speed:g} m/s" in err
     assert "91.8367 m/s unambiguous velocity" in err
     assert not out.exists()
+
+
+TRUCK_SCENE = """
+[scene]
+measurement_times_s = [0.0, 0.2, 0.4]
+[[vehicle]]
+name = "truck"
+initial_range_m = 160.0
+relative_speed_mps = 20.0
+rcs_m2 = 100.0
+"""
+
+
+@pytest.mark.parametrize("estimator", ["diag", "both"])
+@pytest.mark.parametrize("speed", ["20.0", "-20.0"])
+def test_simulate_refuses_diagonal_tone_past_n_diag(tmp_path, capsys, estimator, speed):
+    # 160 m is inside the grid's 178.571 m, but l_range + |l_doppler| =
+    # 430.08 + 104.533 bins is past the 480-bin diagonal: the tone wrapped,
+    # and the truck read as one resolved track at 78.683 m, 25.9247 m/s.
+    scene = tmp_path / "truck.cfg"
+    scene.write_text(TRUCK_SCENE.replace("20.0", speed))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--window", "hamming",
+                 "--estimator", estimator, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: vehicle truck at t=0 s puts a diagonal tone at bin 534.613, "
+        "at or beyond n_diag = 480: it wraps\n")
+    assert not out.exists()
+
+
+def test_simulate_grid_reads_truck_past_the_diagonal(tmp_path):
+    scene = tmp_path / "truck.cfg"
+    scene.write_text(TRUCK_SCENE)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--out", str(out)]) == 0
+    _, dets = _read_csv(out / "grid_detections.csv")
+    assert [row[4:] for row in dets[:1]] == [["159.97", "20.0893"]]
+
+
+@pytest.mark.parametrize("range_m, code", [(139.6, 0), (139.7, 1)])
+def test_simulate_diagonal_limit_is_the_last_bin(tmp_path, range_m, code):
+    # 20 m/s adds 104.533 bins: 139.6 m puts the high tone at 479.78,
+    # 139.7 m at 480.05.
+    scene = tmp_path / "edge.cfg"
+    scene.write_text(TRUCK_SCENE.replace("160.0", str(range_m))
+                     .replace("[0.0, 0.2, 0.4]", "[0.0]"))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
+def test_simulate_refuses_negative_seed_before_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", "fig4", "--seed=-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def _one_car(*times, range_m=40.0, speed=5.0):
+    return Scene((VehicleSpec("car", range_m, speed, 3.16),), times)
+
+
+@pytest.mark.parametrize("scene, cfg, message", [
+    (_one_car(0.0, 30.0), OfdmConfig.table1(), "vehicle car at t=30 s is at 190 m"),
+    (_one_car(0.0), dataclasses.replace(OfdmConfig.table1(), n_sensing_freq=240),
+     "diagonal scheme requires"),
+], ids=["beyond-range", "non-square"])
+def test_run_scene_refuses_at_the_call(monkeypatch, scene, cfg, message):
+    # The refusal comes before any frame's echoes: calling None would raise TypeError.
+    monkeypatch.setattr(jcas.cli, "target_amplitudes", None)
+    with pytest.raises(ValueError, match=message):
+        run_scene(scene, cfg, (WindowKind.RECTANGULAR,), True, None, 0)
+
+
+def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
+    made = []
+    real = jcas.cli.synthesize_diag
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jcas.cli, "synthesize_diag", counted)
+    frames = run_scene(_one_car(0.0, 0.2), table1, (WindowKind.RECTANGULAR,), False, None, 0)
+    assert made == []
+    assert next(frames).t == 0.0 and len(made) == 1
+    assert [frame.t for frame in frames] == [0.2] and len(made) == 2
+
+
+def test_run_scene_skips_empty_frames_and_seeds_by_time_index(monkeypatch, table1):
+    # A vehicle that has passed the ego car never returns, so a real scene
+    # empties only at its end; here the middle frame is emptied by hand.
+    windows = (WindowKind.HAMMING,)
+    scene = _one_car(0.0, 0.2, 0.4, 3.0, speed=-20.0)  # passed by t = 2 s
+    real = jcas.cli.targets_at
+    monkeypatch.setattr(jcas.cli, "targets_at",
+                        lambda scene, t: [] if t == 0.2 else real(scene, t))
+    frames = list(run_scene(scene, table1, windows, False, None, 7))
+    assert [frame.t for frame in frames] == [0.0, 0.4]
+    targets = real(scene, 0.4)
+    amps = target_amplitudes(table1, LinkBudget(), targets, 7, 2)
+    expected = process_frame(synthesize_diag(table1, targets, amps), windows)
+    got = frames[1].diag.images[WindowKind.HAMMING].magnitude_db
+    assert np.array_equal(got, expected.images[WindowKind.HAMMING].magnitude_db)
+    assert frames[1].diag.pairs == expected.pairs
+
+
+def test_run_scene_reads_no_tone_of_a_vehicle_behind(table1):
+    # At t = 5 s the car is 240 m behind the ego car, where its tones would
+    # sit past bin 480; it is no target then, so nothing wraps.
+    frames = run_scene(_one_car(0.0, 5.0, range_m=10.0, speed=-50.0), table1,
+                       (WindowKind.RECTANGULAR,), False, None, 0)
+    assert [frame.t for frame in frames] == [0.0]
+
+
+def test_run_scene_grid_only_yields_no_diagonal_frame(table1):
+    frames = list(run_scene(_one_car(0.0, 0.2), table1, (), True, None, 0))
+    assert len(frames) == 2
+    for frame in frames:
+        assert frame.diag is None and frame.tracks is None
+        assert frame.rdmap.magnitude_db.shape == (480, 480)
+    # the 40 m, 5 m/s car's cell, as simulate --estimator grid2d reads it
+    det = frames[0].grid_detections[0]
+    assert (det.range_bin, det.doppler_bin) == (108, 26)
 
 
 ONE_CAR_SCENE = """
