@@ -6,11 +6,11 @@ ambiguity resolution, and a transform complexity benchmark.
 """
 
 from .bench import count_ops, run_bench
-from .channel import (DiagonalVector, LinkBudget, NoiseSpec, SymbolMatrix, add_awgn,
-                      rx_power, synthesize_diag, synthesize_grid, target_amplitudes)
+from .channel import (DiagonalVector, LinkBudget, NoiseSpec, SymbolMatrix, rx_power,
+                      synthesize_diag, synthesize_grid, target_amplitudes)
 from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_velocity,
                      capabilities, doppler_bin, overhead, range_bin, sensing_positions,
-                     tone_pair_bins)
+                     tone_pair_bins, wrap_reason)
 from .diag_estimator import (Peak, PeakPair, RadarImage, WindowKind, apply_window,
                              candidates, detect_peaks_1d, diag_spectrum, pair_peaks, psl)
 from .grid_estimator import GridDetection, bins_to_estimate, detect_peaks_2d, range_doppler_map

@@ -48,6 +48,9 @@ class NoiseSpec:
         if not 0 < variance < math.inf:
             raise ValueError(f"snr_db must be finite and give a positive, finite "
                              f"noise variance, got {snr_db!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,9 @@ def _check_synth_inputs(targets: list[Target], amps: np.ndarray) -> np.ndarray:
 
 
 def _add_noise_in_place(values: np.ndarray, noise: NoiseSpec,
-                        reference_amplitude: float) -> np.ndarray:
-    """Add add_awgn's noise into values (complex128, writable) and return it.
+                        reference_amplitude: float) -> None:
+    """Add noise at noise.snr_db against reference_amplitude, drawn from
+    noise.rng_seed, into values (complex128, writable).
 
     One float buffer takes both draws in turn: the first is scaled into the
     real parts, the second into the imaginary parts. These are the same
@@ -154,22 +158,6 @@ def _add_noise_in_place(values: np.ndarray, noise: NoiseSpec,
     for part in (values.real, values.imag):
         rng.standard_normal(out=w)
         part += np.multiply(w, scale, out=w)
-    return values
-
-
-def add_awgn(values: np.ndarray, noise: NoiseSpec | None,
-             reference_amplitude: float = 1.0) -> np.ndarray:
-    """Add circular complex Gaussian noise at the configured SNR.
-
-    Per-sample noise variance satisfies reference_amplitude^2 / variance =
-    10^(snr_db/10). An absent spec is the identity. Output is
-    deterministic under the spec's rng_seed. With a spec, the result is a
-    new array; the argument is never written.
-    """
-    values = np.asarray(values, dtype=complex)
-    if noise is None:
-        return values
-    return _add_noise_in_place(values.copy(), noise, reference_amplitude)
 
 
 def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
@@ -180,9 +168,9 @@ def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     exp(+j*4*pi*L_t*T_u*f_c*v*j/c) over targets; the comb spacings enter the
     ramps so that spectral peaks land on the full-bandwidth bin positions.
     The sum is one product over targets, (amps * E_f) @ E_t.T, of the
-    N_f x K range ramps E_f and the N_t x K Doppler ramps E_t. The noise, as
-    add_awgn draws it, is added into that fresh product in place, so the
-    frame's one complex buffer holds the observation.
+    N_f x K range ramps E_f and the N_t x K Doppler ramps E_t. The noise is
+    added into that fresh product in place, so the frame's one complex
+    buffer holds the observation.
     """
     amps = _check_synth_inputs(targets, amps)
     p = np.array([range_bin(cfg, t.range_m) for t in targets])

@@ -26,12 +26,11 @@ import numpy as np
 from . import bench as bench_mod
 from .channel import (LinkBudget, NoiseSpec, synthesize_diag, synthesize_grid,
                       target_amplitudes)
-from .config import OfdmConfig, capabilities, overhead, sensing_positions, tone_pair_bins
+from .config import OfdmConfig, capabilities, overhead, sensing_positions
 from .diag_estimator import (WINDOW_MODES, DiagFrame, PeakPair, RadarImage, WindowKind,
                              process_frame)
 from .grid_estimator import GridDetection, detect_peaks_2d, range_doppler_map
-from .scenario import (Scene, builtin_scene, check_unambiguous_range, load_scene,
-                       targets_at)
+from .scenario import Scene, builtin_scene, check_readable, load_scene, targets_at
 from .tracking import TrackTable, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
@@ -179,24 +178,18 @@ class SceneFrame(NamedTuple):
 
 
 def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], grid: bool,
-              noise: NoiseSpec | None, seed: int) -> Iterator[SceneFrame]:
+              snr_db: float | None, seed: int) -> Iterator[SceneFrame]:
     """The one frame loop: each measurement time through the diagonal and the tracker
-    (if windows) and the grid (if grid), yielded a frame at a time. Every refusal comes
-    at the call: a negative seed, check_unambiguous_range, with windows a non-square comb
-    or a tone at or past bin n_diag, and a degenerate echo power. Frames with no vehicle
-    ahead are skipped; a time's index in the time list seeds that frame's phases.
+    (if windows) and the grid (if grid), yielded a frame at a time. snr_db adds noise
+    seeded by seed (None: noiseless). Every refusal comes at the call: a negative seed,
+    an snr_db NoiseSpec refuses, what check_readable refuses for the estimators the run
+    uses, and a degenerate echo power. Frames with no vehicle ahead are skipped; a
+    time's index in the time list seeds that frame's phases.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    check_unambiguous_range(scene, cfg)
-    if windows:
-        cfg.validate_diagonal()
-        for t in scene.measurement_times_s:
-            for v in scene.vehicles:
-                l = max(map(abs, tone_pair_bins(cfg, v.range_at(t), v.relative_speed_mps)))
-                if v.range_at(t) > 0 and l >= cfg.n_diag:
-                    raise ValueError(f"vehicle {v.name} at t={t:g} s puts a diagonal tone at "
-                                     f"bin {l:g}, at or beyond n_diag = {cfg.n_diag}: it wraps")
+    noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
+    check_readable(scene, cfg, grid, bool(windows))
     frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, seed, fidx))
               for fidx, t in enumerate(scene.measurement_times_s)
               if (targets := targets_at(scene, t))]
@@ -224,8 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                              f"{fmt(a)}, so one frame's files would overwrite the other's")
     windows = WINDOW_MODES[args.window] if args.estimator != "grid2d" else ()
     run_grid = args.estimator != "diag"
-    noise = NoiseSpec(snr_db=args.snr_db, rng_seed=args.seed) if args.snr_db is not None else None
-    frames = run_scene(scene, cfg, windows, run_grid, noise, args.seed)
+    frames = run_scene(scene, cfg, windows, run_grid, args.snr_db, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tracks = TrackTable()  # what tracks.csv lists when no frame has a vehicle

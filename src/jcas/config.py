@@ -1,4 +1,4 @@
-"""OFDM system configuration, physical constants, sensing capabilities and layouts.
+"""OFDM system configuration, physical constants, capabilities, readable regions, layouts.
 
 All other modules take an :class:`OfdmConfig` as their single source of truth
 for physics constants and block geometry, and convert between spectral bins
@@ -203,6 +203,25 @@ def capabilities(cfg: OfdmConfig) -> SensingCapabilities:
         max_unambiguous_range=bin_range(cfg, cfg.n_sensing_freq),
         max_unambiguous_velocity=bin_velocity(cfg, cfg.n_sensing_time),
     )
+
+
+def wrap_reason(cfg: OfdmConfig, range_m: float, velocity_mps: float,
+                grid: bool, diagonal: bool) -> str | None:
+    """Why the grid (if grid) or the diagonal (if diagonal) would read a target ahead
+    at (range_m, velocity_mps) wrapped, or None. In bin space, the grid reads l_r < N_f
+    and |l_d| < N_t, the diagonal l_r + |l_d| < n_diag: for l_r > 0 the larger magnitude
+    of tone_pair_bins, bit for bit. Metres and m/s are computed only for the message."""
+    l_r, l_d = range_bin(cfg, range_m), abs(doppler_bin(cfg, velocity_mps))
+    if grid and l_d >= cfg.n_sensing_time:
+        return (f"moves at {velocity_mps:g} m/s, at or beyond the "
+                f"{capabilities(cfg).max_unambiguous_velocity:g} m/s unambiguous velocity")
+    if grid and l_r >= cfg.n_sensing_freq:
+        return (f"is at {range_m:g} m, at or beyond the "
+                f"{capabilities(cfg).max_unambiguous_range:g} m unambiguous range")
+    if diagonal and l_r + l_d >= cfg.n_diag:
+        return (f"puts a diagonal tone at bin {l_r + l_d:g}, "
+                f"at or beyond n_diag = {cfg.n_diag}: it wraps")
+    return None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ and finite, but nothing reads it: frame times are the measurement times.
 
 VehicleSpec, Scene and OfdmConfig check their own fields, and load_scene
 calls each with its TOML table as keywords: Python and files share one check.
+Whether a run's estimators can read every vehicle ahead depends on the run,
+so check_readable makes that check for the estimators it is given.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import OfdmConfig, Target, capabilities, finite_number
+from .config import OfdmConfig, Target, finite_number, wrap_reason
 
 
 @dataclass(frozen=True)
@@ -88,27 +90,20 @@ def targets_at(scene: Scene, t: float) -> list[Target]:
     return out
 
 
-def check_unambiguous_range(scene: Scene, cfg: OfdmConfig) -> None:
-    """Refuse a scene with a vehicle outside the unambiguous range or velocity.
-
-    Such a vehicle's range or Doppler bin wraps around, so it would be
-    reported modulo capabilities(cfg).max_unambiguous_range (or _velocity)
-    without a sign of the aliasing. A speed is checked by its magnitude,
-    a range at every measurement time.
+def check_readable(scene: Scene, cfg: OfdmConfig, grid: bool, diagonal: bool) -> None:
+    """Refuse a scene with a vehicle that the grid (if grid) or the diagonal (if
+    diagonal) would read wrapped, at the wrong range or speed and with no sign of
+    the aliasing. A vehicle is checked at each measurement time it is ahead of
+    the ego car (config.wrap_reason); behind it, it is no target. The diagonal
+    also needs a square comb.
     """
-    caps = capabilities(cfg)
-    for v in scene.vehicles:
-        if abs(v.relative_speed_mps) >= caps.max_unambiguous_velocity:
-            raise ValueError(
-                f"vehicle {v.name} moves at {v.relative_speed_mps:g} m/s, at or "
-                f"beyond the {caps.max_unambiguous_velocity:g} m/s unambiguous velocity")
+    if diagonal:
+        cfg.validate_diagonal()
     for t in scene.measurement_times_s:
         for v in scene.vehicles:
             r = v.range_at(t)
-            if r >= caps.max_unambiguous_range:
-                raise ValueError(
-                    f"vehicle {v.name} at t={t:g} s is at {r:g} m, "
-                    f"at or beyond the {caps.max_unambiguous_range:g} m unambiguous range")
+            if r > 0 and (reason := wrap_reason(cfg, r, v.relative_speed_mps, grid, diagonal)):
+                raise ValueError(f"vehicle {v.name} at t={t:g} s {reason}")
 
 
 _BUILTIN = {

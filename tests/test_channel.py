@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import (LinkBudget, NoiseSpec, add_awgn, rx_power, synthesize_diag,
-                          synthesize_grid, target_amplitudes)
+from jcas.channel import (LinkBudget, NoiseSpec, rx_power, synthesize_diag, synthesize_grid,
+                          target_amplitudes)
 from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
                          tone_pair_bins)
 from oracles import (awgn_expression, expected_doppler_bin, expected_range_bin,
@@ -125,7 +125,8 @@ class TestSynthesizeGrid:
         assert np.allclose(got.values, expected, rtol=1e-12, atol=1e-12)
         noise = NoiseSpec(snr_db=20.0, rng_seed=3)
         noisy = synthesize_grid(cfg, targets, amps, noise=noise)
-        assert np.allclose(noisy.values, add_awgn(expected, noise, float(np.abs(amps).max())),
+        assert np.allclose(noisy.values,
+                           awgn_expression(expected, noise, float(np.abs(amps).max())),
                            rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_sensing_freq", [480, 240])
@@ -200,33 +201,40 @@ class TestSynthesizeDiag:
 
 
 class TestNoise:
-    def test_absent_spec_is_identity(self):
-        x = np.arange(10, dtype=complex)
-        assert np.array_equal(add_awgn(x, None), x)
+    TARGETS = [Target(12.0, 3.0, 1.0), Target(61.0, -9.0, 1.0)]
+    AMPS = np.array([0.25, 1.0j])
+
+    def test_absent_spec_is_identity(self, table1):
+        # noise=None adds nothing: the grid is the per-target loop's to rounding,
+        # where 20 dB of noise would move each cell by about 0.07.
+        got = synthesize_grid(table1, self.TARGETS, self.AMPS, noise=None).values
+        assert np.allclose(got, loop_synthesize_grid(table1, self.TARGETS, self.AMPS),
+                           rtol=0, atol=1e-12)
         # None is the one spelling of "no noise": a spec must carry an SNR.
         with pytest.raises(TypeError):
             NoiseSpec()
 
-    def test_deterministic_under_seed(self):
-        x = np.zeros(100, dtype=complex)
-        spec = NoiseSpec(snr_db=10.0, rng_seed=42)
-        assert np.array_equal(add_awgn(x, spec), add_awgn(x, spec))
+    def test_deterministic_under_seed(self, table1):
+        for synthesize in (synthesize_diag, synthesize_grid):
+            def noisy(seed):
+                spec = NoiseSpec(snr_db=10.0, rng_seed=seed)
+                return synthesize(table1, self.TARGETS, self.AMPS, noise=spec).values
 
-    def test_returns_new_array_and_leaves_argument(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        before = x.copy()
-        spec = NoiseSpec(snr_db=10.0, rng_seed=2)
-        noisy = add_awgn(x, spec, reference_amplitude=0.5)
-        assert not np.shares_memory(noisy, x)
-        assert x.tobytes() == before.tobytes()
-        assert np.array_equal(noisy, awgn_expression(before, spec, 0.5))
+            assert np.array_equal(noisy(42), noisy(42))
+            assert not np.allclose(noisy(42), noisy(43))
 
-    def test_variance_calibration(self):
-        x = np.zeros(100_000, dtype=complex)
-        noisy = add_awgn(x, NoiseSpec(snr_db=20.0, rng_seed=1), reference_amplitude=1.0)
-        var = np.mean(np.abs(noisy) ** 2)
-        assert var == pytest.approx(0.01, rel=0.05)
+    def test_variance_calibration(self, table1):
+        # 230,400 grid cells of noise against the strongest amplitude, 1.
+        clean = synthesize_grid(table1, self.TARGETS, self.AMPS).values
+        spec = NoiseSpec(snr_db=20.0, rng_seed=1)
+        noisy = synthesize_grid(table1, self.TARGETS, self.AMPS, noise=spec).values
+        var = np.mean(np.abs(noisy - clean) ** 2)
+        assert var == pytest.approx(0.01, rel=0.02)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_rng_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            NoiseSpec(snr_db=20.0, rng_seed=seed)
 
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError):

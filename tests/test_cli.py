@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,12 +459,7 @@ rcs_m2 = 3.16
     assert not out.exists()
 
 
-def test_simulate_refuses_target_beyond_unambiguous_range(tmp_path, capsys):
-    # 178.6 m is the table-1 unambiguous range; a 300 m vehicle would show
-    # up near 121 m.
-    out = tmp_path / "run"
-    scene = tmp_path / "far.cfg"
-    scene.write_text("""
+FAR_SCENE = """
 [scene]
 measurement_times_s = [0.0, 0.2]
 [[vehicle]]
@@ -475,12 +472,63 @@ name = "far"
 initial_range_m = 290.0
 relative_speed_mps = 50.0
 rcs_m2 = 3.16
-""")
-    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+"""
+
+
+def test_simulate_refuses_target_beyond_unambiguous_range(tmp_path, capsys):
+    # 178.6 m is the table-1 unambiguous range; a 300 m vehicle would show
+    # up near 121 m.
+    out = tmp_path / "run"
+    scene = tmp_path / "far.cfg"
+    scene.write_text(FAR_SCENE)
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "vehicle far at t=0 s is at 290 m" in err
     assert "unambiguous range" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator, reason", [
+    ("diag", "puts a diagonal tone at bin 1040.85, at or beyond n_diag = 480: it wraps"),
+    ("both", "is at 290 m, at or beyond the 178.571 m unambiguous range"),
+])
+def test_simulate_names_the_limit_of_each_estimator_it_runs(tmp_path, capsys, estimator,
+                                                             reason):
+    # A diag-only run names the diagonal tone, l_range + l_doppler =
+    # 779.52 + 261.333 bins; a run with the grid names the grid's range first.
+    out = tmp_path / "run"
+    scene = tmp_path / "far.cfg"
+    scene.write_text(FAR_SCENE)
+    assert main(["simulate", "--scene", str(scene), "--estimator", estimator,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: vehicle far at t=0 s {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["diag", "grid2d", "both"])
+def test_simulate_ignores_a_vehicle_never_ahead(tmp_path, estimator):
+    # At -120 m/s the vehicle would wrap on either estimator, but it is 110 m
+    # and 134 m behind the ego car at the two times: never a target, so the
+    # run reads as the one without it, file for file and byte for byte.
+    times = "measurement_times_s = [0.0, 0.2]"
+    base = ONE_CAR_SCENE.replace(times, "measurement_times_s = [1.0, 1.2]")
+    behind = base + """[[vehicle]]
+name = "gone"
+initial_range_m = 10.0
+relative_speed_mps = -120.0
+rcs_m2 = 100.0
+"""
+    outputs = []
+    for name, text in (("base", base), ("behind", behind)):
+        scene = tmp_path / f"{name}.cfg"
+        scene.write_text(text)
+        out = tmp_path / name
+        assert main(["simulate", "--scene", str(scene), "--estimator", estimator,
+                     "--window", "adaptive", "--snr-db", "20", "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == {"diag": 6, "grid2d": 3, "both": 9}[estimator]
 
 
 def test_simulate_refuses_target_leaving_unambiguous_range(tmp_path, capsys):
@@ -495,7 +543,8 @@ initial_range_m = 150.0
 relative_speed_mps = 75.0
 rcs_m2 = 100.0
 """)
-    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--out", str(out)]) == 1
     assert "vehicle truck at t=2 s is at 300 m" in capsys.readouterr().err
     assert not out.exists()
 
@@ -520,9 +569,10 @@ initial_range_m = 60.0
 relative_speed_mps = {speed}
 rcs_m2 = 3.16
 """)
-    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"vehicle racer moves at {speed:g} m/s" in err
+    assert f"vehicle racer at t=0 s moves at {speed:g} m/s" in err
     assert "91.8367 m/s unambiguous velocity" in err
     assert not out.exists()
 
@@ -639,6 +689,16 @@ def test_run_scene_reads_no_tone_of_a_vehicle_behind(table1):
     frames = run_scene(_one_car(0.0, 5.0, range_m=10.0, speed=-50.0), table1,
                        (WindowKind.RECTANGULAR,), False, None, 0)
     assert [frame.t for frame in frames] == [0.0]
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's one python block documents run_scene; it must run as written.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["0.0", "0.2", "0.6"]
 
 
 def test_run_scene_grid_only_yields_no_diagonal_frame(table1):
@@ -763,6 +823,15 @@ def test_simulate_refuses_non_finite_snr_before_output(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--scene", "fig4", "--snr-db", "nan", "--out", str(out)]) == 1
     assert "snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_checks_the_seed_before_the_snr(tmp_path, capsys):
+    # run_scene builds the run's one NoiseSpec after its own seed check.
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", "fig4", "--snr-db", "nan", "--seed=-1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
     assert not out.exists()
 
 

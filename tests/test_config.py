@@ -2,9 +2,10 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from jcas.config import OfdmConfig, Target, capabilities
+from jcas.config import OfdmConfig, Target, capabilities, wrap_reason
+from oracles import expected_doppler_bin, expected_range_bin
 
 
 def test_table1_derived_quantities(table1):
@@ -91,6 +92,30 @@ def test_bool_field_refused(table1, field):
     # bool is an int subclass: "carrier_freq = true" would read as 1 Hz.
     with pytest.raises(ValueError, match=f"{field} must be a finite number, got True"):
         dataclasses.replace(table1, **{field: True})
+
+
+# Table 1 and a square comb whose time spacing, 4, differs from the frequency spacing, 7.
+WRAP_CONFIGS = [OfdmConfig.table1(), dataclasses.replace(OfdmConfig.table1(), n_symbols=1920)]
+
+
+@given(st.sampled_from(WRAP_CONFIGS),
+       st.floats(0.0, 400.0, exclude_min=True, exclude_max=True),
+       st.floats(-200.0, 200.0, exclude_min=True, exclude_max=True),
+       st.booleans(), st.booleans())
+def test_wrap_reason_is_none_exactly_inside_each_region(cfg, range_m, velocity, grid,
+                                                       diagonal):
+    # The grid reads l_r < N_f and |l_d| < N_t; the diagonal's higher tone
+    # l_r + |l_d| must stay below its N bins.
+    l_r = expected_range_bin(cfg, range_m)
+    l_d = abs(expected_doppler_bin(cfg, velocity))
+    margins = (l_r - cfg.n_sensing_freq, l_d - cfg.n_sensing_time, l_r + l_d - cfg.n_diag)
+    assume(all(abs(m) >= 1e-6 for m in margins))
+    grid_reads = not grid or (l_r < cfg.n_sensing_freq and l_d < cfg.n_sensing_time)
+    diag_reads = not diagonal or l_r + l_d < cfg.n_diag
+    reason = wrap_reason(cfg, range_m, velocity, grid, diagonal)
+    assert (reason is None) == (grid_reads and diag_reads)
+    if reason is not None:  # the grid's limits are named first
+        assert reason.endswith("it wraps") == grid_reads
 
 
 def test_diagonal_validation():
