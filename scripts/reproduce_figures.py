@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from jcas.channel import synthesize_diag
-from jcas.cli import main as jcas_main, write_image_csv
+from jcas.cli import main as jcas_main, write_image_csvs
 from jcas.config import OfdmConfig, Target
 from jcas.diag_estimator import WindowKind, process_frame
 
@@ -26,8 +26,8 @@ def single_target_profile() -> None:
     d = synthesize_diag(cfg, [Target(40.0, 5.0, 3.16)], np.array([1.0]))
     out = OUT / "single_target"
     out.mkdir(parents=True, exist_ok=True)
-    for kind, img in process_frame(d, tuple(WindowKind)).images.items():
-        write_image_csv(out / f"profile_{kind.value}.csv", img)
+    write_image_csvs([(out / f"profile_{kind.value}.csv", img)
+                      for kind, img in process_frame(d, tuple(WindowKind)).images.items()])
     print(f"wrote {out}/profile_*.csv")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (OfdmConfig, Target, doppler_bin, finite_number, range_bin,
-                     tone_pair_bins)
+                     seed_number, tone_pair_bins)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class NoiseSpec:
     snr_db is measured against the strongest target's per-sample amplitude.
     A noiseless run passes no NoiseSpec at all (noise=None). An snr_db whose
     noise variance at unit reference, 1 / 10 ** (snr_db / 10), is not
-    positive and finite (beyond about +-3082 dB) is refused.
+    positive and finite (beyond about +-3082 dB) is refused. rng_seed is
+    any non-negative Python or numpy integer (config.seed_number), kept as int.
     """
 
     snr_db: float
@@ -48,9 +49,7 @@ class NoiseSpec:
         if not 0 < variance < math.inf:
             raise ValueError(f"snr_db must be finite and give a positive, finite "
                              f"noise variance, got {snr_db!r}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "rng_seed", seed_number("rng_seed", self.rng_seed))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,18 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-Numbers are written as "%.6g" renders them (templates, or numpy-built records and "%.6g"
-lines in write_rdmap_csv); identical configuration and seed give byte-identical files.
+Numbers are written as "%.6g" renders them: "%" templates for the small CSVs, and for
+the radar images and range-Doppler maps records built in numpy by one kernel, _g6_text,
+that equal "%.6g" byte for byte. simulate writes each rdmap_<t>.csv as its frame comes,
+and the image_<t>.csv files after the frame loop, all in one _g6_text call unless they
+pass _IMAGE_FLUSH_CELLS cells. Identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -26,12 +30,12 @@ import numpy as np
 from . import bench as bench_mod
 from .channel import (LinkBudget, NoiseSpec, synthesize_diag, synthesize_grid,
                       target_amplitudes)
-from .config import OfdmConfig, capabilities, overhead, sensing_positions
+from .config import OfdmConfig, capabilities, overhead, seed_number, sensing_positions
 from .diag_estimator import (WINDOW_MODES, DiagFrame, PeakPair, RadarImage, WindowKind,
                              process_frame)
 from .grid_estimator import GridDetection, detect_peaks_2d, range_doppler_map
 from .scenario import Scene, builtin_scene, check_readable, load_scene, targets_at
-from .tracking import TrackTable, resolve_ambiguity
+from .tracking import Hypothesis, TrackTable, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
 
@@ -40,7 +44,7 @@ def fmt(x) -> str:
     """Fixed 6-significant-digit rendering of one number.
 
     The CSV writers render the same text in bulk: "%d" / "%.6g" templates,
-    and in write_rdmap_csv "%.6g" text built in numpy.
+    and in write_image_csvs and write_rdmap_csv "%.6g" text built in numpy.
     """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -61,21 +65,14 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
-def write_image_csv(path: Path, img: RadarImage) -> None:
-    """Write a radar image's half spectrum, bins 0..N/2, as bin,magnitude_db."""
-    n = len(img.magnitude_db) // 2 + 1
-    args: list = [0] * (2 * n)
-    args[0::2] = range(n)
-    args[1::2] = img.magnitude_db[:n].tolist()
-    path.write_text("bin,magnitude_db\n" + ("%d,%.6g\n" * n) % tuple(args))
-
-
-_RDMAP_SCALE = np.array([1e5, 1e4, 1e3])  # 10**(5-e), e = floor(log10|x|)
+_DIGIT_SCALE = np.array([1e5, 1e4, 1e3])  # 10**(5-e), e = floor(log10|x|)
 _RDMAP_BLOCK_CELLS = 4096
+# cmd_simulate writes its buffered images once they hold this many cells.
+_IMAGE_FLUSH_CELLS = 65536
 
 
 @functools.cache
-def _rdmap_digit_tables() -> tuple[np.ndarray, np.ndarray]:
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """Text of six significant digits z = 1000*hi + lo, NUL where "%.6g" has none.
 
     head[hi + 1000*e + 3000*(lo != 0) + 6000*(x < 0)] holds the sign, hi's digits
@@ -98,69 +95,107 @@ def _rdmap_digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return head.reshape(12000, 8).view(np.uint64)[:, 0], tail.view(np.uint32)[:, 0]
 
 
+def _record_dtype(widths: dict[str, int]) -> np.dtype:
+    """A record of NUL-padded text fields of the given widths, then an 8-byte head and
+    a 4-byte tail over the head's unused last 3 bytes."""
+    *offsets, o = itertools.accumulate(widths.values(), initial=0)
+    return np.dtype({"names": [*widths, "head", "tail"],
+                     "formats": [f"S{w}" for w in widths.values()] + ["u8", "u4"],
+                     "offsets": [*offsets, o, o + 5], "itemsize": o + 9})
+
+
+def _g6_text(x: np.ndarray, cells: np.ndarray) -> bytes:
+    """The text of records cells, each ending in its cell of x as "%.6g" and a newline.
+
+    cells is C-contiguous, of x's shape and a _record_dtype; its head and tail are
+    overwritten, its text fields make each line's prefix. A cell with 1 <= |x| < 1000
+    after rounding takes both from _digit_tables by its digits z = rint(s),
+    s = |x| * 10**(5-e): s carries one rounding error, under 1.2e-10, so z is what
+    "%.6g" rounds to unless s lies within 1e-6 of a half. Any other cell, found by a
+    byte scan (count-sized numpy arrays pin heap chunks), is its record's prefix and
+    its own "%.6g" line between runs of records. replace() drops the NULs at one memchr
+    each, which is fast only on records this small: they hold under one NUL each on a
+    typical map.
+    """
+    head, tail = _digit_tables()
+    a = np.abs(x)
+    ok = a >= 1
+    e = (a >= 10).astype(np.intp) + (a >= 100)
+    np.fmin(a, 1e3, out=a)  # NaN, |x| >= 1000 -> z >= 1e6, so no overflow
+    a *= _DIGIT_SCALE[e]
+    z = np.rint(a)
+    a -= z
+    ok &= (z < 1e6) & (np.abs(a, out=a) < 0.5 - 1e-6)
+    z = z.astype(np.intp)
+    hi = z // 1000
+    lo = z - 1000 * hi
+    hi += 1000 * e + 3000 * np.minimum(lo, 1) + 6000 * (x < 0)
+    cells["head"] = head.take(hi, mode="clip")  # a cell not ok may index past the end
+    cells["tail"] = tail[lo]
+    buf, rec = cells.reshape(-1).view(np.uint8), cells.itemsize
+    o = cells.dtype.fields["head"][1]  # the prefix's length
+    flags, pieces, i, j = ok.tobytes(), [], 0, -1
+    while (j := flags.find(0, j + 1)) >= 0:
+        pieces += buf[i * rec:j * rec + o], b"%.6g\n" % x.item(j)
+        i = j + 1
+    pieces.append(buf[i * rec:x.size * rec])
+    return b"".join(pieces).replace(b"\0", b"")
+
+
+def write_image_csvs(images: list[tuple[Path, RadarImage]]) -> None:
+    """Write each radar image's half spectrum, bins 0..N/2, as bin,magnitude_db to its path.
+
+    The text equals "%d,%.6g" of every bin, byte for byte. All the images' records are
+    made by one _g6_text call, and split per file at every (N/2 + 1)-th newline.
+    """
+    if not images:
+        return
+    db = np.stack([img.magnitude_db[:len(img.magnitude_db) // 2 + 1] for _, img in images])
+    n = db.shape[1]
+    cell = _record_dtype({"bin": len(str(n - 1)) + 1})
+    cells = np.zeros(db.shape, cell)
+    cells["bin"] = np.array([f"{b}," for b in range(n)], cell["bin"])
+    text = _g6_text(db, cells)
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1::n] + 1
+    view, start = memoryview(text), 0
+    for (path, _), end in zip(images, ends.tolist()):
+        with open(path, "wb") as f:
+            f.write(b"bin,magnitude_db\n")
+            f.write(view[start:end])
+        start = end
+
+
 def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
     The text equals "%.6g" of every cell, byte for byte. A few map rows at a time, each
-    cell fills a fixed-width record: "p,", "q,", an 8-byte head and a 4-byte tail over
-    the head's unused last 3 bytes (17 bytes on a 480 x 480 map). A cell with
-    1 <= |x| < 1000 after rounding takes both from _rdmap_digit_tables by its digits
-    z = rint(s), s = |x| * 10**(5-e): s carries one rounding error, under 1.2e-10, so z
-    is what "%.6g" rounds to unless s lies within 1e-6 of a half. Any other cell, found
-    by a byte scan (count-sized numpy arrays pin heap chunks), is its own "%.6g" line
-    between runs of records. replace() drops the NULs at one memchr each, which is fast
-    only on records this small: they hold under one NUL each on a typical map.
+    cell fills a fixed-width record, "p," and "q," then _g6_text's head and tail (17
+    bytes on a 480 x 480 map), in one buffer the blocks reuse.
     """
     db = rd.magnitude_db
     n_f, n_t = db.shape
-    pw, qw = len(str(n_f - 1)) + 1, len(str(n_t - 1)) + 1
-    o = pw + qw
-    cell = np.dtype({"names": ["p", "q", "head", "tail"],
-                     "formats": [f"S{pw}", f"S{qw}", "u8", "u4"],
-                     "offsets": [0, pw, o, o + 5], "itemsize": o + 9})
-    head, tail = _rdmap_digit_tables()
+    cell = _record_dtype({"p": len(str(n_f - 1)) + 1, "q": len(str(n_t - 1)) + 1})
     step = max(1, _RDMAP_BLOCK_CELLS // n_t)
     rows = np.array([f"{p}," for p in range(n_f)], cell["p"])[:, None]
     cells = np.zeros((step, n_t), cell)
     cells["q"] = np.array([f"{q}," for q in range(n_t)], cell["q"])
-    buf, rec = cells.view(np.uint8).reshape(-1), cell.itemsize
     with open(path, "wb") as f:
         f.write(b"p,q,magnitude_db\n")
         for p in range(0, n_f, step):
             x = db[p:p + step]
             block = cells[:len(x)]
             block["p"] = rows[p:p + len(x)]
-            a = np.abs(x)
-            ok = a >= 1
-            e = (a >= 10).astype(np.intp) + (a >= 100)
-            np.fmin(a, 1e3, out=a)  # NaN, |x| >= 1000 -> z >= 1e6, so no overflow
-            a *= _RDMAP_SCALE[e]
-            z = np.rint(a)
-            a -= z
-            ok &= (z < 1e6) & (np.abs(a, out=a) < 0.5 - 1e-6)
-            z = z.astype(np.intp)
-            hi = z // 1000
-            lo = z - 1000 * hi
-            hi += 1000 * e + 3000 * np.minimum(lo, 1) + 6000 * (x < 0)
-            block["head"] = head.take(hi, mode="clip")  # a cell not ok may index past the end
-            block["tail"] = tail[lo]
-            flags, pieces, i, j = ok.tobytes(), [], 0, -1
-            while (j := flags.find(0, j + 1)) >= 0:
-                line = b"%d,%d,%.6g\n" % (p + j // n_t, j % n_t, x.item(j))
-                pieces += buf[i * rec:j * rec], line
-                i = j + 1
-            pieces.append(buf[i * rec:x.size * rec])
-            f.write(b"".join(pieces).replace(b"\0", b""))
+            f.write(_g6_text(x, block))
 
 
 # One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.
 _DETECTION_ROW = "%.6g,%s,%s,%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%s,%s,%.6g,%.6g"
 
 
-def _detection_rows(t: float, pairs: list[PeakPair], tracks: TrackTable) -> list[str]:
+def _detection_rows(t: float, pairs: list[PeakPair], owner: list[Hypothesis]) -> list[str]:
     """One detections.csv row per pair of frame t, read from its owner's row."""
     rows = []
-    for pair, track in zip(pairs, tracks.owner):
+    for pair, track in zip(pairs, owner):
         rows.append(_DETECTION_ROW % (
             t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin, *track.readings,
             pair.magnitude_db, track.track_id, track.chosen, *track.best_solution()))
@@ -172,7 +207,8 @@ class SceneFrame(NamedTuple):
 
     t: float
     diag: DiagFrame | None
-    tracks: TrackTable | None  # updated in place: read owner before the next frame
+    tracks: TrackTable | None  # updated in place: its rows hold the latest frame's state
+    owner: list[Hypothesis] | None  # this frame's tracks.owner: the track of each pair
     rdmap: RadarImage | None
     grid_detections: list[GridDetection] | None
 
@@ -181,13 +217,13 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
               snr_db: float | None, seed: int) -> Iterator[SceneFrame]:
     """The one frame loop: each measurement time through the diagonal and the tracker
     (if windows) and the grid (if grid), yielded a frame at a time. snr_db adds noise
-    seeded by seed (None: noiseless). Every refusal comes at the call: a negative seed,
-    an snr_db NoiseSpec refuses, what check_readable refuses for the estimators the run
-    uses, and a degenerate echo power. Frames with no vehicle ahead are skipped; a
-    time's index in the time list seeds that frame's phases.
+    seeded by seed (None: noiseless). Every refusal comes at the call: a seed
+    config.seed_number refuses, an snr_db NoiseSpec refuses, what check_readable
+    refuses for the estimators the run uses, and a degenerate echo power. Frames with
+    no vehicle ahead are skipped; a time's index in the time list seeds that frame's
+    phases.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = seed_number("seed", seed)
     noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
     check_readable(scene, cfg, grid, bool(windows))
     frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, seed, fidx))
@@ -197,14 +233,15 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
     def run() -> Iterator[SceneFrame]:
         tracks = TrackTable() if windows else None
         for t, targets, amps in frames:
-            diag = rd = dets = None
+            diag = owner = rd = dets = None
             if windows:
                 diag = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
                 tracks = resolve_ambiguity(cfg, tracks, (t, diag.pairs))
+                owner = tracks.owner
             if grid:
                 rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
                 dets = detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)
-            yield SceneFrame(t, diag, tracks, rd, dets)
+            yield SceneFrame(t, diag, tracks, owner, rd, dets)
     return run()
 
 
@@ -223,17 +260,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tracks = TrackTable()  # what tracks.csv lists when no frame has a vehicle
     det_rows: list[str] = []
     grid_rows: list[str] = []
-    for t, diag, tracks, rd, dets in frames:
+    images: list[tuple[Path, RadarImage]] = []  # written in bursts of _IMAGE_FLUSH_CELLS
+    cells = 0
+    for t, diag, tracks, owner, rd, dets in frames:
         if windows:
             for kind, img in diag.images.items():
                 suffix = f"_{kind.value}" if len(windows) > 1 else ""
-                write_image_csv(out_dir / f"image_{fmt(t)}{suffix}.csv", img)
-            det_rows += _detection_rows(t, diag.pairs, tracks)
+                images.append((out_dir / f"image_{fmt(t)}{suffix}.csv", img))
+                cells += len(img.magnitude_db) // 2 + 1
+            if cells >= _IMAGE_FLUSH_CELLS:
+                write_image_csvs(images)
+                images, cells = [], 0
+            det_rows += _detection_rows(t, diag.pairs, owner)
         if run_grid:
             write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
             grid_rows += ["%.6g,%d,%d,%.6g,%.6g,%.6g" % (
                 t, det.range_bin, det.doppler_bin, det.magnitude_db, det.range_m,
                 det.velocity_mps) for det in dets]
+    write_image_csvs(images)
     if windows:
         _write_csv(out_dir / "detections.csv",
                    "time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"

@@ -8,6 +8,7 @@ and range/velocity only through the bin maps defined here.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +23,18 @@ def finite_number(name: str, v) -> float:
             or not -sys.float_info.max <= v <= sys.float_info.max):
         raise ValueError(f"{name} must be a finite number, got {v!r}")
     return float(v)
+
+
+def seed_number(name: str, v) -> int:
+    """v, a non-negative Python or numpy integer, as an int; a bool, a float, any other
+    type and a negative value are refused."""
+    if not isinstance(v, bool):
+        try:
+            if (i := operator.index(v)) >= 0:
+                return i
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,18 @@ def template_rdmap_csv(path: Path, rd: RadarImage) -> None:
             f.write(template.replace("{p}", str(p)) % tuple(row.tolist()))
 
 
+def template_image_csv(path: Path, img: RadarImage) -> None:
+    """Write a radar image's half spectrum, bins 0..N/2, as bin,magnitude_db.
+
+    One "%d,%.6g" template per bin, filled by a single % of the whole image.
+    """
+    n = len(img.magnitude_db) // 2 + 1
+    args: list = [0] * (2 * n)
+    args[0::2] = range(n)
+    args[1::2] = img.magnitude_db[:n].tolist()
+    path.write_text("bin,magnitude_db\n" + ("%d,%.6g\n" * n) % tuple(args))
+
+
 def expected_range_bin(cfg, range_m: float) -> float:
     """Fractional range bin from first principles: 2*B*R/c of a full comb."""
     return 2.0 * cfg.n_subcarriers * cfg.subcarrier_spacing * range_m / cfg.speed_of_light

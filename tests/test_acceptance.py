@@ -250,12 +250,12 @@ def test_criterion_8_multi_frame_ambiguity_resolution():
         frames = {}
         # the frames at 0.0 and 0.2 s; the runner tracks them as it yields them
         records = islice(_scene_records("fig4", (WindowKind.HAMMING,)), 2)
-        for fidx, (t, frame, tracks, _, _) in enumerate(records):
+        for fidx, (t, frame, _, owner, _, _) in enumerate(records):
             pairs = frame.pairs
             frames[t] = pairs
             if fidx == 0:
                 # the track that opened on the far car's pair
-                far_track = [tr for pair, tr in zip(pairs, tracks.owner)
+                far_track = [tr for pair, tr in zip(pairs, owner)
                              if abs(pair.l1 - 79) <= 1][0]
         # the far car's track locks onto the true (40 m, 5 m/s) branch
         assert far_track.chosen == "a"

@@ -236,6 +236,10 @@ class TestNoise:
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             NoiseSpec(snr_db=20.0, rng_seed=seed)
 
+    def test_numpy_integer_rng_seed_is_kept_as_int(self):
+        seed = NoiseSpec(snr_db=20.0, rng_seed=np.int64(3)).rng_seed
+        assert seed == 3 and type(seed) is int
+
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(snr_db=float("inf"))

@@ -13,11 +13,12 @@ from hypothesis.extra import numpy as hnp
 import jcas.cli
 import jcas.diag_estimator
 from jcas.channel import LinkBudget, synthesize_diag, target_amplitudes
-from jcas.cli import build_parser, fmt, main, run_scene, write_image_csv, write_rdmap_csv
+from jcas.cli import build_parser, fmt, main, run_scene, write_image_csvs, write_rdmap_csv
 from jcas.config import OfdmConfig
-from jcas.diag_estimator import PeakPair, RadarImage, WindowKind, candidates, process_frame
-from jcas.scenario import Scene, VehicleSpec
-from oracles import template_rdmap_csv
+from jcas.diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, WindowKind, candidates,
+                                 process_frame)
+from jcas.scenario import Scene, VehicleSpec, builtin_scene
+from oracles import template_image_csv, template_rdmap_csv
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps")
@@ -41,9 +42,9 @@ FORMAT_EDGE_VALUES = (0.0, -0.0, -300.0, 1e-5, 99999.95, 123456.5, 1e16)
 
 
 def test_percent_formats_match_fmt():
-    # write_image_csv formats cells with "%d" / "%.6g", and write_rdmap_csv
-    # builds text equal to "%.6g" in numpy; they must give exactly what fmt
-    # gives.
+    # The small CSVs format cells with "%d" / "%.6g", and write_image_csvs
+    # and write_rdmap_csv build text equal to them in numpy; they must give
+    # exactly what fmt gives.
     for x in FORMAT_EDGE_VALUES:
         for v in (x, np.float64(x), -x):
             assert "%.6g" % v == fmt(v), v
@@ -159,10 +160,94 @@ def test_write_rdmap_csv_degenerate_cells_raise_no_warning(tmp_path):
 
 def test_write_image_csv_matches_per_cell_rendering(tmp_path):
     db = np.random.default_rng(6).uniform(-320.0, 0.0, size=16)
-    write_image_csv(tmp_path / "img.csv", RadarImage(db, 0.0))
+    write_image_csvs([(tmp_path / "img.csv", RadarImage(db, 0.0))])
     rows = [f"{b},{fmt(db[b])}" for b in range(9)]
     expected = "\n".join(["bin,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "img.csv").read_text() == expected
+
+
+def _assert_images_match_oracle(tmp_path, dbs):
+    images = [(tmp_path / f"img_{k}.csv", RadarImage(db, 0.0)) for k, db in enumerate(dbs)]
+    write_image_csvs(images)
+    for k, (path, img) in enumerate(images):
+        template_image_csv(tmp_path / "oracle.csv", img)
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), k
+
+
+# Cells _g6_text renders as their own "%.6g" lines: signed zeros, the
+# non-finite cells, |x| >= 1000, |x| < 1 and digits within 1e-6 of a half.
+ODD_CELLS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1000.0, -1234.5, 1e16, -1e-5, 0.5,
+             123.4565, -12.34565, 1.234565, np.nextafter(-12.34565, 0)]
+
+
+@pytest.mark.parametrize("n", [480, 16, 15, 2])
+def test_write_image_csvs_odd_cells_at_image_edges_match_oracle(tmp_path, n):
+    # Odd cells on the first and the last written bin of each image, so that
+    # the last bin of one image and the first of the next are adjacent in the
+    # one batch, and then on every bin of an image between two plain ones.
+    half = n // 2 + 1
+    rng = np.random.default_rng(n)
+    dbs = rng.uniform(-320.0, 0.0, size=(len(ODD_CELLS), n))
+    dbs[:, 0] = ODD_CELLS
+    dbs[:, half - 1] = ODD_CELLS[::-1]
+    dbs[:, half:] = np.nan  # past the half spectrum: never written
+    _assert_images_match_oracle(tmp_path, dbs)
+    middle = np.resize(np.array(ODD_CELLS), n)
+    _assert_images_match_oracle(tmp_path, [dbs[0], middle, dbs[1]])
+
+
+def test_write_image_csvs_crafted_cells_match_oracle(tmp_path):
+    # Near-ties, their one-ulp neighbours and the decade edges of the rdmap
+    # tests, spread over 480-bin images.
+    cells = _crafted_cells()
+    dbs = np.resize(cells, (-(-len(cells) // 241), 241))
+    _assert_images_match_oracle(tmp_path, np.concatenate([dbs, dbs[:, ::-1]], axis=1))
+
+
+def test_write_image_csvs_batch_past_the_flush_size_matches_oracle(tmp_path):
+    # More cells in one call than simulate ever buffers before writing.
+    k = jcas.cli._IMAGE_FLUSH_CELLS // 241 + 3
+    dbs = np.random.default_rng(12).uniform(-320.0, 0.0, size=(k, 480))
+    dbs[::7, 0] = -0.0
+    dbs[3::7, 240] = 1e-5
+    dbs[5, :241] = np.resize(np.array(ODD_CELLS), 241)
+    assert dbs[:, :241].size > jcas.cli._IMAGE_FLUSH_CELLS
+    _assert_images_match_oracle(tmp_path, dbs)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 40)),
+                  elements=st.one_of(st.floats(-320.0, 0.0), st.floats(-1e3, 1e3),
+                                     st.floats())))
+def test_write_image_csvs_matches_oracle_on_any_images(tmp_path, dbs):
+    _assert_images_match_oracle(tmp_path, dbs)
+
+
+def test_simulate_writes_images_in_bursts_of_the_flush_size(tmp_path, monkeypatch):
+    # fig4 adaptive makes two 241-bin images per frame: a flush size of 500
+    # cells writes the first two frames' four images after frame 2 and the
+    # last two after the loop; the default size writes all six after the
+    # loop. Both give the golden files.
+    bursts = []
+    real = jcas.cli.write_image_csvs
+
+    def counted(images):
+        bursts.append(len(images))
+        real(images)
+
+    monkeypatch.setattr(jcas.cli, "write_image_csvs", counted)
+    golden = Path(__file__).parent / "golden" / "fig4_adaptive"
+    for size, expected in ((500, [4, 2]), (jcas.cli._IMAGE_FLUSH_CELLS, [6])):
+        monkeypatch.setattr(jcas.cli, "_IMAGE_FLUSH_CELLS", size)
+        bursts.clear()
+        out = tmp_path / f"run{size}"
+        assert main(["simulate", "--scene", "fig4", "--window", "adaptive", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert bursts == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_simulate_fig4_hamming(tmp_path):
@@ -650,6 +735,39 @@ def test_run_scene_refuses_at_the_call(monkeypatch, scene, cfg, message):
         run_scene(scene, cfg, (WindowKind.RECTANGULAR,), True, None, 0)
 
 
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_run_scene_refuses_a_seed_that_is_no_non_negative_integer_at_the_call(
+        monkeypatch, table1, seed, snr_db):
+    # One rule with and without noise, before any echo: calling None would raise TypeError.
+    monkeypatch.setattr(jcas.cli, "target_amplitudes", None)
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        run_scene(_one_car(0.0), table1, (WindowKind.RECTANGULAR,), False, snr_db, seed)
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+def test_run_scene_takes_a_numpy_integer_seed_as_that_integer(table1, snr_db):
+    windows = (WindowKind.HAMMING,)
+    runs = [list(run_scene(_one_car(0.0, 0.2), table1, windows, False, snr_db, seed))
+            for seed in (np.int64(3), 3)]
+    for numpy_seeded, int_seeded in zip(*runs):
+        assert np.array_equal(numpy_seeded.diag.images[WindowKind.HAMMING].magnitude_db,
+                              int_seeded.diag.images[WindowKind.HAMMING].magnitude_db)
+        assert numpy_seeded.diag.pairs == int_seeded.diag.pairs
+
+
+def test_run_scene_frames_carry_their_own_owners(table1):
+    # The shared TrackTable's owner is the last frame's once the records are
+    # collected; each record's owner stays its own frame's.
+    frames = list(run_scene(builtin_scene("fig4"), table1, WINDOW_MODES["adaptive"],
+                            False, None, 1))
+    assert [len(frame.diag.pairs) for frame in frames] == [1, 1, 2]
+    assert [len(frame.owner) for frame in frames] == [1, 1, 2]
+    assert [[track.track_id for track in frame.owner] for frame in frames] == [[0], [0], [0, 1]]
+    assert all(frame.tracks is frames[-1].tracks for frame in frames)
+
+
 def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
     made = []
     real = jcas.cli.synthesize_diag
@@ -705,7 +823,7 @@ def test_run_scene_grid_only_yields_no_diagonal_frame(table1):
     frames = list(run_scene(_one_car(0.0, 0.2), table1, (), True, None, 0))
     assert len(frames) == 2
     for frame in frames:
-        assert frame.diag is None and frame.tracks is None
+        assert frame.diag is None and frame.tracks is None and frame.owner is None
         assert frame.rdmap.magnitude_db.shape == (480, 480)
     # the 40 m, 5 m/s car's cell, as simulate --estimator grid2d reads it
     det = frames[0].grid_detections[0]
