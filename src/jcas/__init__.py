@@ -15,6 +15,6 @@ from .diag_estimator import (Peak, PeakPair, RadarImage, WindowKind, apply_windo
                              candidates, detect_peaks_1d, diag_spectrum, pair_peaks, psl)
 from .grid_estimator import GridDetection, bins_to_estimate, detect_peaks_2d, range_doppler_map
 from .scenario import Scene, SceneFile, VehicleSpec, builtin_scene, load_scene, targets_at
-from .tracking import Hypothesis, TrackTable, resolve_ambiguity
+from .tracking import Track, TrackTable, resolve_ambiguity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,7 +35,7 @@ from .diag_estimator import (WINDOW_MODES, DiagFrame, PeakPair, RadarImage, Wind
                              process_frame)
 from .grid_estimator import GridDetection, detect_peaks_2d, range_doppler_map
 from .scenario import Scene, builtin_scene, check_readable, load_scene, targets_at
-from .tracking import Hypothesis, TrackTable, resolve_ambiguity
+from .tracking import Track, TrackTable, resolve_ambiguity
 
 GRID_THRESHOLD_DB = -30.0
 
@@ -192,14 +192,12 @@ def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
 _DETECTION_ROW = "%.6g,%s,%s,%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%s,%s,%.6g,%.6g"
 
 
-def _detection_rows(t: float, pairs: list[PeakPair], owner: list[Hypothesis]) -> list[str]:
+def _detection_rows(t: float, pairs: list[PeakPair], owner: list[Track]) -> list[str]:
     """One detections.csv row per pair of frame t, read from its owner's row."""
-    rows = []
-    for pair, track in zip(pairs, owner):
-        rows.append(_DETECTION_ROW % (
-            t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin, *track.readings,
-            pair.magnitude_db, track.track_id, track.chosen, *track.best_solution()))
-    return rows
+    return [_DETECTION_ROW % (
+        t, pair.l1, pair.l2, pair.mean_bin, pair.delta_bin, tr.r_a, tr.v_a, tr.r_b, tr.v_b,
+        pair.magnitude_db, tr.track_id, tr.chosen, tr.r_m, tr.v_mps)
+        for pair, tr in zip(pairs, owner)]
 
 
 class SceneFrame(NamedTuple):
@@ -208,7 +206,7 @@ class SceneFrame(NamedTuple):
     t: float
     diag: DiagFrame | None
     tracks: TrackTable | None  # updated in place: its rows hold the latest frame's state
-    owner: list[Hypothesis] | None  # this frame's tracks.owner: the track of each pair
+    owner: list[Track] | None  # each pair's owning track, its row as this frame left it
     rdmap: RadarImage | None
     grid_detections: list[GridDetection] | None
 
@@ -237,7 +235,7 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
             if windows:
                 diag = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
                 tracks = resolve_ambiguity(cfg, tracks, (t, diag.pairs))
-                owner = tracks.owner
+                owner = tracks.rows(tracks.owner)
             if grid:
                 rd = range_doppler_map(synthesize_grid(cfg, targets, amps, noise=noise))
                 dets = detect_peaks_2d(rd, GRID_THRESHOLD_DB, cfg=cfg)
@@ -284,7 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps",
                    det_rows)
         track_rows = ["%s,%s,%.6g,%.6g,%s,%.6g,%.6g" % (
-            tr.track_id, tr.n_frames, *tr.scores, tr.chosen, *tr.best_solution())
+            tr.track_id, tr.n_frames, tr.score_a, tr.score_b, tr.chosen, tr.r_m, tr.v_mps)
             for tr in tracks]
         _write_csv(out_dir / "tracks.csv",
                    "track_id,n_frames,score_a,score_b,resolved,r_m,v_mps", track_rows)

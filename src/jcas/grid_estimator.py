@@ -55,12 +55,13 @@ def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarr
     """Row-major flat indices, ascending, of the cells >= threshold_db that are
     strictly greater than every other cell within guard bins on each axis.
 
-    Axes wrap (DFT bins are circular). A neighbour that wraps back onto the
-    cell itself still counts, so no cell of an axis of <= 2*guard bins passes.
+    Axes wrap (DFT bins are circular). An offset that wraps back onto the cell
+    itself, as +-n does on an axis of n <= guard bins, is skipped, so a cell
+    is compared with other cells only.
     """
     flat = np.flatnonzero(db >= threshold_db)
     for offset in itertools.product(range(-guard, guard + 1), repeat=db.ndim):
-        if not any(offset):
+        if not any(o % n for o, n in zip(offset, db.shape)):
             continue
         cells = np.unravel_index(flat, db.shape)
         neighbour = tuple((c + o) % n for c, o, n in zip(cells, offset, db.shape))

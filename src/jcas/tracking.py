@@ -15,6 +15,7 @@ advances the table frame by frame.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,98 +43,75 @@ _LAST_T, _FRAMES, _CHOSEN, _N_COLUMNS = range(3 * _BRANCHES, 3 * _BRANCHES + 4)
 _BRANCH_NAMES = ("a", "b", "undecided")
 
 
-class _State:
-    """A TrackTable's state matrix, shared with its tracks.
+class Track(NamedTuple):
+    """One track's row as it stood when read, and the reading it reports."""
 
-    Tracks reach their row through this holder, not through the table, so
-    no reference cycle keeps a finished table alive until a garbage
-    collection. Growing the table replaces ``matrix``.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-
-
-class Hypothesis:
-    """One track of a TrackTable: its id and reads of its row."""
-
-    __slots__ = ("_state", "track_id")
-
-    def __init__(self, state: _State, track_id: int) -> None:
-        self._state = state
-        self.track_id = track_id
-
-    @property
-    def n_frames(self) -> int:
-        """Frames the track holds: the one that opened it and each claim since."""
-        return int(self._state.matrix.item(self.track_id, _FRAMES))
-
-    @property
-    def chosen(self) -> str:
-        """"a", "b" or "undecided"."""
-        return _BRANCH_NAMES[int(self._state.matrix.item(self.track_id, _CHOSEN))]
-
-    @property
-    def scores(self) -> tuple[float, float]:
-        """Accrued (a, b) branch scores; inf marks a dead branch."""
-        return tuple(self._state.matrix[self.track_id, _SCORE].tolist())
-
-    @property
-    def readings(self) -> tuple[float, float, float, float]:
-        """Both branches' readings of the track's latest pair, dead or alive,
-        as candidates gives them: (r_a, v_a, r_b, v_b)."""
-        return tuple(self._state.matrix[self.track_id, _READINGS].tolist())
-
-    def best_solution(self) -> tuple[float, float]:
-        """The chosen branch's (range, velocity); undecided, the lower
-        score's (a on a tie)."""
-        row = self._state.matrix[self.track_id].tolist()
-        scores = row[_SCORE]
-        best = int(row[_CHOSEN]) if row[_CHOSEN] >= 0 else scores.index(min(scores))
-        return row[_RANGE][best], row[_VELOCITY][best]
+    track_id: int
+    n_frames: int  # the frame that opened the track and each claim since
+    # Both branches' readings of the track's latest pair, dead or alive, as
+    # candidates gives them.
+    r_a: float
+    v_a: float
+    r_b: float
+    v_b: float
+    score_a: float  # accrued branch scores; inf marks a dead branch
+    score_b: float
+    chosen: str  # "a", "b" or "undecided"
+    # The chosen branch's reading; undecided, the lower score's (a on a tie).
+    r_m: float
+    v_mps: float
 
 
 class TrackTable:
     """Every track's state as rows of one matrix, in track-id order.
 
-    Iterating yields each track's one :class:`Hypothesis`. ``owner`` holds,
-    for every pair of the latest frame, the track that holds it: the last
-    track (highest id) that claimed it, otherwise the track it opened.
+    Iterating, or indexing by track id, gives :class:`Track` copies of the
+    rows as they stand. ``owner`` holds, for every pair of the latest frame,
+    the id of the track that holds it: the last track (highest id) that
+    claimed it, otherwise the track it opened.
     """
 
     def __init__(self) -> None:
-        self._state = _State(np.empty((16, _N_COLUMNS)))
-        self._tracks: list[Hypothesis] = []
+        self._matrix = np.empty((16, _N_COLUMNS))
+        self._n = 0
         self._last_t = -math.inf
-        self.owner: list[Hypothesis] = []
+        self.owner: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._tracks)
+        return self._n
 
     def __iter__(self):
-        return iter(self._tracks)
+        return iter(self.rows(range(self._n)))
 
-    def __getitem__(self, track_id: int) -> Hypothesis:
-        return self._tracks[track_id]
+    def __getitem__(self, track_id: int) -> Track:
+        # range counts a negative id from the end and refuses one past it
+        return self.rows([range(self._n)[track_id]])[0]
 
-    def _open(self, readings: np.ndarray, t: float) -> list[Hypothesis]:
-        """Append one track per row of readings (its _READINGS), opened at t."""
-        n, k = len(self._tracks), len(readings)
-        state = self._state
-        if n + k > len(state.matrix):
-            grown = np.empty((max(2 * len(state.matrix), n + k), _N_COLUMNS))
-            grown[:n] = state.matrix[:n]
-            state.matrix = grown
-        rows = state.matrix[n:n + k]
+    def rows(self, ids) -> list[Track]:
+        """Copies of the rows of the given track ids, each in [0, len), as they stand."""
+        tracks = []
+        for track_id, row in zip(ids, self._matrix[:self._n][ids].tolist()):
+            scores, chosen = row[_SCORE], int(row[_CHOSEN])
+            best = chosen if chosen >= 0 else scores.index(min(scores))
+            tracks.append(Track(track_id, int(row[_FRAMES]), *row[_READINGS], *scores,
+                                _BRANCH_NAMES[chosen], row[_RANGE][best], row[_VELOCITY][best]))
+        return tracks
+
+    def _open(self, readings: np.ndarray, t: float) -> range:
+        """Append one track per row of readings (its _READINGS), opened at t;
+        returns their ids."""
+        n, k = self._n, len(readings)
+        if n + k > len(self._matrix):
+            grown = np.empty((max(2 * len(self._matrix), n + k), _N_COLUMNS))
+            grown[:n] = self._matrix[:n]
+            self._matrix = grown
+        rows = self._matrix[n:n + k]
         rows[:, _READINGS] = readings
         # A non-positive range cannot be a physical target; kill that branch now.
         rows[:, _SCORE] = np.where(readings[:, _RANGE] <= 0.0, math.inf, 0.0)
         rows[:, _LAST_T:] = t, 1.0, -1.0  # _LAST_T, _FRAMES, _CHOSEN
-        opened = [Hypothesis(state, n + j) for j in range(k)]
-        self._tracks += opened
-        return opened
+        self._n = n + k
+        return range(n, n + k)
 
 
 def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
@@ -158,7 +136,7 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
     obs = np.array([(pair.l1, pair.l2, *candidates(cfg, pair)) for pair in pairs])
     n = len(tracks)
     if n:
-        rows = tracks._state.matrix[:n]
+        rows = tracks._matrix[:n]
         scores, chosen = rows[:, _SCORE], rows[:, _CHOSEN]
         velocity = rows[:, _VELOCITY]
         lo, hi = tone_pair_bins(
@@ -176,7 +154,7 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
         hits = np.flatnonzero((dist[best] <= NEW_TRACK_GATE_BINS) & (scores[best] < math.inf))
         claimed = nearest[best][hits]
         for row, idx in zip(hits.tolist(), claimed.tolist()):
-            owner[idx] = tracks._tracks[row]
+            owner[idx] = row
         rows[hits, _READINGS] = obs[claimed, 2:]
         rows[hits, _LAST_T] = t
         rows[hits, _FRAMES] += 1.0
@@ -187,8 +165,8 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
                     where=rows[:, _FRAMES] >= _FRAMES_TO_DECIDE)
         np.copyto(chosen, lowest, where=np.abs(gap, out=gap) > DECISION_MARGIN_BINS)
 
-    new = [idx for idx, track in enumerate(owner) if track is None]
+    new = [idx for idx, track_id in enumerate(owner) if track_id is None]
     if new:
-        for idx, track in zip(new, tracks._open(obs[new, 2:], t)):
-            owner[idx] = track
+        for idx, track_id in zip(new, tracks._open(obs[new, 2:], t)):
+            owner[idx] = track_id
     return tracks

@@ -151,11 +151,11 @@ def circular_distance(a: int, b: int, n: int) -> int:
 
 
 def local_maxima_1d(db, threshold_db: float) -> list[int]:
-    """Bins >= threshold strictly above both wrapped neighbours."""
+    """Bins >= threshold strictly above both wrapped neighbours that are other bins."""
     n = len(db)
     return [i for i in range(n)
             if db[i] >= threshold_db
-            and db[i] > db[(i - 1) % n] and db[i] > db[(i + 1) % n]]
+            and all(db[i] > db[j] for j in {(i - 1) % n, (i + 1) % n} - {i})]
 
 
 def thin_pairwise(peaks: list, n: int, min_separation: int) -> list:
@@ -168,7 +168,8 @@ def thin_pairwise(peaks: list, n: int, min_separation: int) -> list:
 
 
 def local_maxima_2d(db, threshold_db: float, guard: int) -> list[tuple[int, int]]:
-    """(p, q) cells >= threshold strictly above every wrapped guard neighbour."""
+    """(p, q) cells >= threshold strictly above every wrapped guard neighbour
+    that is another cell."""
     n_f, n_t = db.shape
     found = []
     candidates = np.argwhere(db >= threshold_db)
@@ -177,7 +178,7 @@ def local_maxima_2d(db, threshold_db: float, guard: int) -> list[tuple[int, int]
         is_max = True
         for dp in range(-guard, guard + 1):
             for dq in range(-guard, guard + 1):
-                if dp == 0 and dq == 0:
+                if dp % n_f == 0 and dq % n_t == 0:
                     continue
                 if db[(p + dp) % n_f, (q + dq) % n_t] >= val:
                     is_max = False

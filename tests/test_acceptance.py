@@ -255,15 +255,16 @@ def test_criterion_8_multi_frame_ambiguity_resolution():
             frames[t] = pairs
             if fidx == 0:
                 # the track that opened on the far car's pair
-                far_track = [tr for pair, tr in zip(pairs, owner)
-                             if abs(pair.l1 - 79) <= 1][0]
+                far_id = [tr.track_id for pair, tr in zip(pairs, owner)
+                          if abs(pair.l1 - 79) <= 1][0]
+            else:
+                # that track's row as the second frame left it
+                far_track = [tr for tr in owner if tr.track_id == far_id][0]
         # the far car's track locks onto the true (40 m, 5 m/s) branch
         assert far_track.chosen == "a"
-        r_m, v_mps = far_track.best_solution()
-        assert r_m == pytest.approx(40.0, abs=0.5)
-        assert v_mps == pytest.approx(5.0, abs=0.3)
-        _, _, phantom_r, _ = far_track.readings
-        assert abs(phantom_r - 10.0) <= 0.5  # the rejected reading
+        assert far_track.r_m == pytest.approx(40.0, abs=0.5)
+        assert far_track.v_mps == pytest.approx(5.0, abs=0.3)
+        assert abs(far_track.r_b - 10.0) <= 0.5  # the rejected reading
         # at the second frame the two cars' pairs overlap within 4 bins
         (p1, p2) = sorted(frames[0.2], key=lambda p: p.l1)[:2]
         assert abs(p1.l1 - p2.l1) <= 4 and abs(p1.l2 - p2.l2) <= 4

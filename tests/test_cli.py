@@ -759,13 +759,25 @@ def test_run_scene_takes_a_numpy_integer_seed_as_that_integer(table1, snr_db):
 
 def test_run_scene_frames_carry_their_own_owners(table1):
     # The shared TrackTable's owner is the last frame's once the records are
-    # collected; each record's owner stays its own frame's.
-    frames = list(run_scene(builtin_scene("fig4"), table1, WINDOW_MODES["adaptive"],
-                            False, None, 1))
+    # collected; each record's owner stays its own frame's, and so do the
+    # owning tracks' rows.
+    def readings(owner):
+        return [(tr.track_id, tr.chosen, tr.r_m, tr.v_mps) for tr in owner]
+
+    scene, windows = builtin_scene("fig4"), WINDOW_MODES["adaptive"]
+    live = [readings(frame.tracks.rows(frame.tracks.owner))
+            for frame in run_scene(scene, table1, windows, False, None, 1)]
+    frames = list(run_scene(scene, table1, windows, False, None, 1))
     assert [len(frame.diag.pairs) for frame in frames] == [1, 1, 2]
     assert [len(frame.owner) for frame in frames] == [1, 1, 2]
     assert [[track.track_id for track in frame.owner] for frame in frames] == [[0], [0], [0, 1]]
     assert all(frame.tracks is frames[-1].tracks for frame in frames)
+    assert [readings(frame.owner) for frame in frames] == live
+    # track 0 decides "b" later; at frame 0 it was undecided at its a reading
+    (track_id, chosen, r_m, _), = readings(frames[0].owner)
+    assert (track_id, chosen) == (0, "undecided")
+    assert r_m == pytest.approx(38.8765, abs=1e-4)
+    assert frames[-1].tracks[0].chosen == "b"
 
 
 def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
@@ -985,6 +997,19 @@ def test_one_signal_comb_refused_before_output(tmp_path, capsys, argv):
     assert main([*argv, "--scene", str(scene), *outs]) == 1
     assert "at least 2 sensing signals" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_two_signal_grid_reports_its_vehicle(tmp_path):
+    # On a 2-signal comb the guard's wrapped offsets reach each cell itself;
+    # the detector skips them, so the parked car's cell is reported.
+    scene = tmp_path / "two.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace("40.0", "0.1").replace("5.0", "0.0")
+                     + "[ofdm]\nn_sensing_freq = 2\nn_sensing_time = 2\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
+                 "--out", str(out)]) == 0
+    assert (out / "grid_detections.csv").read_text().splitlines() == [
+        "time_s,p,q,magnitude_db,range_m,velocity_mps", "0,0,0,0,0,0", "0.2,0,0,0,0,0"]
 
 
 def test_directory_named_like_builtin_scene_runs_builtin(tmp_path, monkeypatch, capsys):

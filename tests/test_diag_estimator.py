@@ -148,7 +148,7 @@ class TestDetect:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 480])
     def test_matches_loop_oracle_with_ties(self, n):
         # Quarter-dB levels make equal neighbours common; an equal neighbour
-        # (or, for n <= 2, the cell itself) stops a bin being a maximum.
+        # stops a bin being a maximum. A lone bin (n = 1) has no neighbour.
         rng = np.random.default_rng(n)
         for _ in range(25):
             db = rng.integers(-160, 1, size=n) * 0.25

@@ -175,9 +175,9 @@ def _oracle_detections(db, threshold_db, guard, cfg):
 @pytest.mark.parametrize("guard", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3), (7, 9), (16, 16)])
 def test_detect_matches_loop_oracle_with_ties(small_cfg, shape, guard):
-    # Quarter-dB levels tie often. On an axis of at most 2*guard bins the
-    # wrapped neighbourhood reaches the cell itself, so nothing there is a
-    # maximum.
+    # Quarter-dB levels tie often. On an axis of at most guard bins the
+    # wrapped neighbourhood reaches the cell itself, and that offset is
+    # skipped.
     rng = np.random.default_rng(10 * shape[0] + shape[1] + guard)
     for _ in range(20):
         db = rng.integers(-240, 1, size=shape) * 0.25
@@ -187,6 +187,15 @@ def test_detect_matches_loop_oracle_with_ties(small_cfg, shape, guard):
                                    cfg=small_cfg, guard=guard) == want
             assert circular_maxima(db, threshold, guard).tolist() == [
                 p * shape[1] + q for p, q in local_maxima_2d(db, threshold, guard)]
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3])
+def test_short_axis_compares_a_cell_with_other_cells_only(guard):
+    # On a 2-bin axis an offset of +-2 wraps back onto the cell itself; a
+    # comparison with itself would leave no cell standing.
+    assert circular_maxima(np.array([[0.0, -6.0], [-3.0, -9.0]]), -30.0, guard).tolist() == [0]
+    assert circular_maxima(np.array([[-4.0, -1.0, -8.0]]), -30.0, guard).tolist() == [1]
+    assert circular_maxima(np.zeros((2, 2)), -30.0, guard).tolist() == []
 
 
 def test_detect_noisy_full_map_matches_loop_oracle(table1):

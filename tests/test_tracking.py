@@ -25,6 +25,11 @@ def _pair_for(cfg, r, v, mag=0.0):
     return PeakPair(round(lo), round(hi), mag)
 
 
+def _readings(track):
+    """A track's (r_a, v_a, r_b, v_b), in the order candidates returns them."""
+    return track.r_a, track.v_a, track.r_b, track.v_b
+
+
 def test_single_frame_stays_undecided(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 39.0, 5.0)]))
     assert len(tracks) == 1
@@ -41,9 +46,8 @@ def test_two_frames_resolve_receding_car(table1):
     assert len(tracks) == 1
     track = tracks[0]
     assert track.chosen == "a"
-    r_m, v_mps = track.best_solution()
-    assert r_m == pytest.approx(41.0, abs=0.4)
-    assert v_mps == pytest.approx(5.0, abs=0.3)
+    assert track.r_m == pytest.approx(41.0, abs=0.4)
+    assert track.v_mps == pytest.approx(5.0, abs=0.3)
 
 
 def test_two_frames_resolve_fast_near_car(table1):
@@ -54,9 +58,8 @@ def test_two_frames_resolve_fast_near_car(table1):
         pair = _pair_for(table1, 6.0 + 20.0 * t, 20.0)
         tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
     assert tracks[0].chosen == "b"
-    r_m, v_mps = tracks[0].best_solution()
-    assert r_m == pytest.approx(10.0, abs=0.4)
-    assert v_mps == pytest.approx(20.0, abs=0.3)
+    assert tracks[0].r_m == pytest.approx(10.0, abs=0.4)
+    assert tracks[0].v_mps == pytest.approx(20.0, abs=0.3)
 
 
 def test_two_tracks_resolve_in_parallel(table1):
@@ -68,22 +71,22 @@ def test_two_tracks_resolve_in_parallel(table1):
     assert len(tracks) == 2
     by_choice = {tr.chosen: tr for tr in tracks}
     assert set(by_choice) == {"a", "b"}
-    assert by_choice["a"].best_solution()[0] == pytest.approx(40.0, abs=0.5)
-    assert by_choice["b"].best_solution()[1] == pytest.approx(20.0, abs=0.3)
+    assert by_choice["a"].r_m == pytest.approx(40.0, abs=0.5)
+    assert by_choice["b"].v_mps == pytest.approx(20.0, abs=0.3)
 
 
 def test_stationary_target_discards_zero_range_branch(table1):
     pair = _pair_for(table1, 30.0, 0.0)
     assert pair.l1 == pair.l2
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [pair]))
-    assert math.isinf(tracks[0].scores[1])
+    assert math.isinf(tracks[0].score_b)
     assert tracks[0].chosen == "undecided"
     # dead by its score alone: the row keeps the branch's own reading
-    assert tracks[0].readings[2:] == candidates(table1, pair)[2:]
-    assert tracks[0].readings[2] == 0.0
+    assert (tracks[0].r_b, tracks[0].v_b) == candidates(table1, pair)[2:]
+    assert tracks[0].r_b == 0.0
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert tracks[0].chosen == "a"
-    assert tracks[0].best_solution()[1] == 0.0
+    assert tracks[0].v_mps == 0.0
 
 
 def test_track_with_every_branch_dead_claims_nothing(table1):
@@ -94,9 +97,9 @@ def test_track_with_every_branch_dead_claims_nothing(table1):
     for t in (0.0, 0.2):
         tracks = resolve_ambiguity(table1, tracks, (t, [pair]))
     assert len(tracks) == 2
-    assert tracks.owner == [tracks[1]]
+    assert tracks.owner == [1]
     assert tracks[0].n_frames == 1
-    assert tracks[0].scores == (math.inf, math.inf)
+    assert (tracks[0].score_a, tracks[0].score_b) == (math.inf, math.inf)
     assert tracks[0].chosen == "undecided"
 
 
@@ -132,12 +135,12 @@ def test_branch_scores_nearest_pair_and_ties_go_to_first(table1):
     # Two identical pairs: the first claims the track, the second opens one.
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     twin = [_pair_for(table1, 41.0, 5.0), _pair_for(table1, 41.0, 5.0)]
-    r_a, v_a, _, _ = tracks[0].readings
+    r_a, v_a = tracks[0].r_a, tracks[0].v_a
     pred_a = tone_pair_bins(table1, r_a + v_a * 0.2, v_a)
     expected = abs(pred_a[0] - twin[0].l1) + abs(pred_a[1] - twin[0].l2)
     tracks = resolve_ambiguity(table1, tracks, (0.2, twin))
-    assert tracks[0].scores[0] == expected
-    assert tracks.owner == [tracks[0], tracks[1]]
+    assert tracks[0].score_a == expected
+    assert tracks.owner == [0, 1]
     assert (tracks[0].n_frames, tracks[1].n_frames) == (2, 1)
 
 
@@ -145,14 +148,14 @@ def test_last_claiming_track_owns_a_shared_pair(table1):
     first = _pair_for(table1, 40.0, 5.0)
     twin = PeakPair(first.l1, first.l2, first.magnitude_db)
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [first, twin]))
-    assert [tr.track_id for tr in tracks.owner] == [0, 1]
+    assert tracks.owner == [0, 1]
     pair = _pair_for(table1, 41.0, 5.0)
     tracks = resolve_ambiguity(table1, tracks, (0.2, [pair]))
     assert len(tracks) == 2
     for track in tracks:
         assert track.n_frames == 2
-        assert track.readings == candidates(table1, pair)
-    assert tracks.owner == [tracks[1]]
+        assert _readings(track) == candidates(table1, pair)
+    assert tracks.owner == [1]
 
 
 def test_unclaimed_pair_opens_a_track_that_owns_it(table1):
@@ -160,22 +163,33 @@ def test_unclaimed_pair_opens_a_track_that_owns_it(table1):
     far = _pair_for(table1, 150.0, 2.0)
     tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.2, [far, near]))
-    assert tracks.owner == [tracks[1], tracks[0]]
+    assert tracks.owner == [1, 0]
     assert tracks[1].n_frames == 1
-    assert tracks[1].readings == candidates(table1, far)
+    assert _readings(tracks[1]) == candidates(table1, far)
     tracks = resolve_ambiguity(table1, tracks, (0.4, []))
     assert tracks.owner == []
 
 
-def test_iterating_the_table_yields_the_same_objects(table1):
+def test_iterating_the_table_yields_equal_rows_in_track_id_order(table1):
     tracks = TrackTable()
     for t in (0.0, 0.2):
         pairs = [_pair_for(table1, 40.0 + 5.0 * t, 5.0), _pair_for(table1, 150.0, 2.0)]
         tracks = resolve_ambiguity(table1, tracks, (t, pairs))
     first, second = list(tracks), list(tracks)
     assert len(first) == 2
-    assert all(a is b for a, b in zip(first, second))
+    assert first == second == [tracks[0], tracks[1]] == tracks.rows([0, 1])
     assert [tr.track_id for tr in first] == [0, 1]
+
+
+def test_rows_are_copies_of_the_row_when_read(table1):
+    tracks = resolve_ambiguity(table1, TrackTable(), (0.0, [_pair_for(table1, 40.0, 5.0)]))
+    before = tracks.rows(tracks.owner)
+    tracks = resolve_ambiguity(table1, tracks, (0.2, [_pair_for(table1, 41.0, 5.0)]))
+    assert [(tr.n_frames, tr.chosen) for tr in before] == [(1, "undecided")]
+    assert [(tr.n_frames, tr.chosen) for tr in tracks.rows(tracks.owner)] == [(2, "a")]
+    assert tracks[-1] == tracks[0]
+    with pytest.raises(IndexError):
+        tracks[1]
 
 
 def _random_frames(cfg, rng, n_frames):
@@ -231,22 +245,22 @@ def test_table_matches_the_per_track_loop(cfg):
             assert len(table) == len(reference)
             for got, want in zip(table, reference):
                 assert got.track_id == want.track_id
-                assert got.scores == (want.score_a, want.score_b)
+                assert (got.score_a, got.score_b) == (want.score_a, want.score_b)
                 assert got.chosen == want.chosen
                 assert got.n_frames == len(want.history)
-                assert got.readings == (*want.solution("a"), *want.solution("b"))
-                assert got.best_solution() == want.best_solution()
+                assert _readings(got) == (*want.solution("a"), *want.solution("b"))
+                assert (got.r_m, got.v_mps) == want.best_solution()
                 at_margin += (len(want.history) >= 2 and
                               abs(want.score_a - want.score_b) == DECISION_MARGIN_BINS)
-            assert ([tr.track_id for tr in table.owner]
-                    == oracles.pair_owners(t, pairs, reference))
+            assert table.owner == oracles.pair_owners(t, pairs, reference)
     if cfg is DYADIC:
         assert at_gate and at_margin
 
 
 def test_finished_table_is_freed_without_garbage_collection(table1):
-    # Tracks read their rows through a holder, not the table, so a run's
-    # table goes as soon as the last reference to it does.
+    # The table holds its matrix and plain track ids, and the rows it hands
+    # out are copies that refer to nothing, so no reference cycle keeps a
+    # run's table alive: it goes as soon as the last reference to it does.
     gc.disable()
     try:
         tracks = TrackTable()
