@@ -1,11 +1,12 @@
 """OFDM joint-communication-and-sensing radar simulator.
 
 Grid-comb 2D-DFT and diagonal-comb 1D-DFT range-velocity estimation, a
-modulation-symbol-domain channel model, highway scenes, multi-frame
-ambiguity resolution, and a transform complexity benchmark.
+modulation-symbol-domain channel model, highway scenes and multi-frame
+ambiguity resolution. The paper's counted-multiply table is jcas.cli.count_ops.
 """
 
-from .bench import count_ops, run_bench
+from types import ModuleType as _ModuleType
+
 from .channel import (DiagonalVector, LinkBudget, NoiseSpec, SymbolMatrix, rx_power,
                       synthesize_diag, synthesize_grid, target_amplitudes)
 from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_velocity,
@@ -17,4 +18,6 @@ from .grid_estimator import GridDetection, bins_to_estimate, detect_peaks_2d, ra
 from .scenario import Scene, SceneFile, VehicleSpec, builtin_scene, load_scene, targets_at
 from .tracking import Track, TrackTable, resolve_ambiguity
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a name from a submodule also binds the submodule: list the names only.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -27,15 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bench as bench_mod
-from .channel import (LinkBudget, NoiseSpec, synthesize_diag, synthesize_grid,
-                      target_amplitudes)
+from .channel import (DiagonalVector, LinkBudget, NoiseSpec, SymbolMatrix, synthesize_diag,
+                      synthesize_grid, target_amplitudes)
 from .config import OfdmConfig, capabilities, overhead, seed_number, sensing_positions
 from .diag_estimator import (WINDOW_MODES, DiagFrame, PeakPair, RadarImage, WindowKind,
-                             process_frame)
+                             diag_spectrum, process_frame)
 from .grid_estimator import GridDetection, detect_peaks_2d, range_doppler_map
 from .scenario import Scene, builtin_scene, check_readable, load_scene, targets_at
 from .tracking import Track, TrackTable, resolve_ambiguity
+from .transforms import MultiplyCounter
 
 GRID_THRESHOLD_DB = -30.0
 
@@ -54,7 +54,7 @@ def fmt(x) -> str:
 def _load_scene_arg(arg: str) -> tuple[Scene, OfdmConfig]:
     if (path := Path(arg)).exists() and not path.is_dir():
         sf = load_scene(arg)
-        return sf.scene, sf.ofdm or OfdmConfig.table1()
+        return sf.scene, sf.ofdm
     try:
         return builtin_scene(arg), OfdmConfig.table1()
     except ValueError:
@@ -320,9 +320,22 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
     return 0
 
 
+def count_ops(n: int) -> tuple[int, int]:
+    """Complex multiplies (grid, diag) of each estimator's own naive transform of an
+    n-point block: the grid's n row DFTs and n column IDFTs, 2*n**3, and the diagonal's
+    one DFT, n**2. The counter is incremented in the naive method, so the counts are
+    exact and portable, and their ratio is 2n for every n.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    grid, diag = MultiplyCounter(), MultiplyCounter()
+    range_doppler_map(SymbolMatrix(np.ones((n, n))), method="naive", counter=grid)
+    diag_spectrum(DiagonalVector(np.ones(n)), method="naive", counter=diag)
+    return grid.count, diag.count
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = args.n or [64, 128, 256]
-    counts = bench_mod.run_bench(sizes)
+    counts = [(n, *count_ops(n)) for n in args.n or [64, 128, 256]]
     rows = [(name, n, count) for n, grid, diag in counts
             for name, count in (("grid2d", grid), ("diag", diag))]
     print(f"{'algorithm':<12}{'n':>6}{'multiplies':>14}")

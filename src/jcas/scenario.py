@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import OfdmConfig, Target, finite_number, wrap_reason
+from .diag_estimator import DEFAULT_MIN_SEPARATION
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,14 @@ def check_readable(scene: Scene, cfg: OfdmConfig, grid: bool, diagonal: bool) ->
     diagonal) would read wrapped, at the wrong range or speed and with no sign of
     the aliasing. A vehicle is checked at each measurement time it is ahead of
     the ego car (config.wrap_reason); behind it, it is no target. The diagonal
-    also needs a square comb.
+    also needs a square comb of at least 2 * DEFAULT_MIN_SEPARATION bins: on fewer,
+    no two bins are far enough apart for thinning to keep both tones of a pair.
     """
     if diagonal:
         cfg.validate_diagonal()
+        if cfg.n_diag < 2 * DEFAULT_MIN_SEPARATION:
+            raise ValueError(f"n_diag = {cfg.n_diag} < {2 * DEFAULT_MIN_SEPARATION}: the diagonal "
+                             f"holds no two peaks {DEFAULT_MIN_SEPARATION} bins apart to pair")
     for t in scene.measurement_times_s:
         for v in scene.vehicles:
             r = v.range_at(t)
@@ -137,7 +142,7 @@ def builtin_scene(name: str) -> Scene:
 @dataclass(frozen=True)
 class SceneFile:
     scene: Scene
-    ofdm: OfdmConfig | None = None
+    ofdm: OfdmConfig  # table 1, with the file's [ofdm] keys in place of its own
 
 
 def _table(doc: dict, name: str) -> dict:
@@ -186,8 +191,7 @@ def load_scene(path: str | Path) -> SceneFile:
     if not blocks:
         raise ValueError("scene file defines no [[vehicle]] blocks")
     vehicles = tuple(_vehicle_from(b) for b in blocks)
-    ofdm = _built("[ofdm] section", OfdmConfig,
-                  OfdmConfig.table1().__dict__ | _table(doc, "ofdm")) if "ofdm" in doc else None
+    ofdm = _built("[ofdm] section", OfdmConfig, OfdmConfig.table1().__dict__ | _table(doc, "ofdm"))
     scene_kw = dict(_table(doc, "scene"))
     if finite_number("frame_interval_s", scene_kw.pop("frame_interval_s", 1.0)) <= 0:
         raise ValueError("frame_interval_s must be positive and finite")

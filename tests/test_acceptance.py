@@ -13,10 +13,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from jcas.bench import count_ops
 from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
                           synthesize_grid, target_amplitudes)
-from jcas.cli import run_scene
+from jcas.cli import count_ops, run_scene
 from jcas.config import OfdmConfig, Target, capabilities, overhead, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  RadarImage, WindowKind, apply_window,
@@ -310,8 +309,7 @@ def test_criterion_9_round_trip_both_estimators():
 def test_criterion_10_complexity_ratio_and_transform_agreement():
     with _criterion(10, "counted-multiply ratio 2n; naive vs fast"):
         for n in (64, 128, 256, 480):
-            g = count_ops("grid2d", n)
-            d = count_ops("diag", n)
+            g, d = count_ops(n)
             assert g == 2 * n ** 3
             assert d == n ** 2
             assert g / d == 2 * n

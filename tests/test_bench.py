@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jcas.bench import count_ops, run_bench
 from jcas.channel import LinkBudget, synthesize_diag, synthesize_grid, target_amplitudes
+from jcas.cli import count_ops
 from jcas.diag_estimator import diag_spectrum
 from jcas.grid_estimator import range_doppler_map
 from jcas.scenario import builtin_scene, targets_at
@@ -12,18 +12,17 @@ from jcas.transforms import MultiplyCounter, dft, idft
 @pytest.mark.parametrize("n,expected", [(64, 2 * 64**3), (128, 2 * 128**3),
                                         (480, 2 * 480**3)])
 def test_grid2d_count(n, expected):
-    assert count_ops("grid2d", n) == expected
+    assert count_ops(n)[0] == expected
 
 
 @pytest.mark.parametrize("n", [64, 128, 480])
 def test_diag_count(n):
-    assert count_ops("diag", n) == n * n
+    assert count_ops(n)[1] == n * n
 
 
 @pytest.mark.parametrize("n", [2, 16, 64, 128, 256, 480])
 def test_ratio_is_two_n(n):
-    g = count_ops("grid2d", n)
-    d = count_ops("diag", n)
+    g, d = count_ops(n)
     assert g / d == 2 * n
 
 
@@ -45,21 +44,15 @@ def test_instrumentation_preserves_results():
     assert np.array_equal(plain, counted)
 
 
-def test_bad_algorithm_and_size():
-    with pytest.raises(ValueError):
-        count_ops("fft", 16)
-    with pytest.raises(ValueError):
-        count_ops("diag", 1)
+def test_bad_size():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        count_ops(1)
 
 
-def test_run_bench_report_shape():
-    report = run_bench([64, 128])
-    assert len(report) == 2
-    assert {n: grid / diag for n, grid, diag in report} == {64: 128.0, 128: 256.0}
-
-
-def test_run_bench_empty_sizes():
-    assert run_bench([]) == []
+def test_count_ops_report_shape():
+    report = {n: count_ops(n) for n in (64, 128)}
+    assert all(type(c) is int for counts in report.values() for c in counts)
+    assert {n: grid / diag for n, (grid, diag) in report.items()} == {64: 128.0, 128: 256.0}
 
 
 @pytest.mark.parametrize("algorithm", ["diag", "grid2d"])
@@ -77,4 +70,5 @@ def test_count_ops_matches_estimator_on_fig5_frame(algorithm, table1):
     else:
         range_doppler_map(synthesize_grid(table1, targets, amps), method="naive",
                           counter=counter)
-    assert count_ops(algorithm, table1.n_diag) == counter.count
+    grid, diag = count_ops(table1.n_diag)
+    assert (diag if algorithm == "diag" else grid) == counter.count

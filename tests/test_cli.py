@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -831,6 +832,16 @@ def test_readme_library_example_runs(capsys):
     assert [line.split()[0] for line in lines] == ["0.0", "0.2", "0.6"]
 
 
+def test_package_all_lists_names_not_modules():
+    # Importing a name from a submodule binds the submodule in the package too.
+    namespace: dict = {}
+    exec("from jcas import *", namespace)
+    assert set(jcas.__all__) <= namespace.keys()
+    assert "run_scene" not in jcas.__all__  # jcas.cli is not imported by the package
+    for name in jcas.__all__:
+        assert not isinstance(getattr(jcas, name), types.ModuleType), name
+
+
 def test_run_scene_grid_only_yields_no_diagonal_frame(table1):
     frames = list(run_scene(_one_car(0.0, 0.2), table1, (), True, None, 0))
     assert len(frames) == 2
@@ -1012,6 +1023,47 @@ def test_simulate_two_signal_grid_reports_its_vehicle(tmp_path):
         "time_s,p,q,magnitude_db,range_m,velocity_mps", "0,0,0,0,0,0", "0.2,0,0,0,0,0"]
 
 
+SHORT_DIAGONAL_SCENE = """
+[scene]
+measurement_times_s = [0.0]
+[[vehicle]]
+name = "car"
+initial_range_m = 0.9300595
+relative_speed_mps = 0.2869898
+rcs_m2 = 3.16
+[ofdm]
+"""
+
+
+@pytest.mark.parametrize("estimator", ["diag", "both"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diagonal_too_short_to_pair_refused_before_output(tmp_path, capsys, n, estimator):
+    # Thinning keeps peaks at least 3 bins apart on a circle of n bins; for n <= 5
+    # no two bins are, so no pair and no reading. At n = 5 the car's tones sit at
+    # bins 1 and 4, and such a run used to write a header-only detections.csv.
+    scene = tmp_path / "short.cfg"
+    scene.write_text(SHORT_DIAGONAL_SCENE + f"n_sensing_freq = {n}\nn_sensing_time = {n}\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--estimator", estimator,
+                 "--out", str(out)]) == 1
+    assert f"n_diag = {n} < 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shortest_pairing_diagonal_reports_its_vehicle(tmp_path):
+    # At n = 6 the tones at bins 1 and 4 are 3 bins apart, so they pair.
+    scene = tmp_path / "six.cfg"
+    scene.write_text(SHORT_DIAGONAL_SCENE + "n_sensing_freq = 6\nn_sensing_time = 6\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 0
+    row = (out / "detections.csv").read_text().splitlines()[1].split(",")
+    # pair_mag_db is the weaker tone against the stronger: 0 dB up to FFT rounding
+    assert abs(float(row[9])) < 1e-9
+    row[9] = "0"
+    assert ",".join(row) == ("0,1,4,2.5,3,0.93006,0.28699,0.558036,0.478316,0,0,"
+                             "undecided,0.93006,0.28699")
+
+
 def test_directory_named_like_builtin_scene_runs_builtin(tmp_path, monkeypatch, capsys):
     # Once --out fig4 existed, --scene fig4 read the directory as a scene
     # file and failed with "[Errno 21] Is a directory".
@@ -1183,6 +1235,14 @@ def test_bench_csv_creates_missing_directory(tmp_path):
     csv_path = tmp_path / "out" / "bench.csv"
     assert main(["bench", "--n", "16", "--csv", str(csv_path)]) == 0
     assert csv_path.read_text().startswith("algorithm,n,counted_multiplies\n")
+
+
+def test_bench_refuses_a_size_before_any_output(tmp_path, capsys):
+    # Every size is counted before the table prints or the CSV's directory exists.
+    csv_path = tmp_path / "out" / "bench.csv"
+    assert main(["bench", "--n", "16", "--n", "1", "--csv", str(csv_path)]) == 1
+    assert capsys.readouterr() == ("", "error: n must be >= 2\n")
+    assert not csv_path.parent.exists()
 
 
 BENCH_DEFAULT_OUT = """\

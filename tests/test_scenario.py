@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from jcas.config import OfdmConfig
 from jcas.scenario import (Scene, VehicleSpec, builtin_scene, load_scene,
                            targets_at)
 
@@ -106,7 +107,7 @@ def test_load_scene_file(tmp_path):
     path = tmp_path / "scene.cfg"
     path.write_text(SCENE_TEXT)
     sf = load_scene(path)
-    assert sf.ofdm is None
+    assert sf.ofdm == OfdmConfig.table1()
     scene = sf.scene
     assert scene.measurement_times_s == (0.0, 0.2)
     lead, far = scene.vehicles
