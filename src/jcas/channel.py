@@ -82,14 +82,14 @@ class SymbolMatrix:
 
 @dataclass(frozen=True)
 class DiagonalVector:
-    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag."""
+    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag (2-D: a frame per row)."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
-        if v.ndim != 1:
-            raise ValueError("DiagonalVector values must be 1-D")
+        if v.ndim not in (1, 2):
+            raise ValueError("DiagonalVector values must be 1-D, or 2-D for a block")
         if not np.isfinite(v).all():
             raise ValueError("DiagonalVector values must be finite")
 

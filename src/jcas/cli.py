@@ -10,9 +10,10 @@ Subcommands::
 
 Numbers are written as "%.6g" renders them: "%" templates for the small CSVs, and for
 the radar images and range-Doppler maps records built in numpy by one kernel, _g6_text,
-that equal "%.6g" byte for byte. simulate writes each rdmap_<t>.csv as its frame comes,
-and the image_<t>.csv files after the frame loop, all in one _g6_text call unless they
-pass _IMAGE_FLUSH_CELLS cells. Identical configuration and seed give byte-identical files.
+that equal "%.6g" byte for byte. run_scene runs diagonal frames a block at a time.
+simulate writes each rdmap_<t>.csv as its frame comes, and the image_<t>.csv files after
+the frame loop, all in one _g6_text call unless they pass _IMAGE_FLUSH_CELLS cells.
+Identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 _DIGIT_SCALE = np.array([1e5, 1e4, 1e3])  # 10**(5-e), e = floor(log10|x|)
 _RDMAP_BLOCK_CELLS = 4096
+_DIAG_BLOCK_CELLS = 16384  # run_scene's most cells per block of diagonal frames
 # cmd_simulate writes its buffered images once they hold this many cells.
 _IMAGE_FLUSH_CELLS = 65536
 
@@ -142,6 +144,15 @@ def _g6_text(x: np.ndarray, cells: np.ndarray) -> bytes:
     return b"".join(pieces).replace(b"\0", b"")
 
 
+@functools.cache
+def _image_labels(n: int) -> np.ndarray:
+    """Read-only image records of bins 0..n-1, built once per n: "bin," labels, the rest NUL."""
+    labels = np.zeros(n, _record_dtype({"bin": len(str(n - 1)) + 1}))
+    labels["bin"] = [f"{b}," for b in range(n)]
+    labels.flags.writeable = False
+    return labels
+
+
 def write_image_csvs(images: list[tuple[Path, RadarImage]]) -> None:
     """Write each radar image's half spectrum, bins 0..N/2, as bin,magnitude_db to its path.
 
@@ -152,10 +163,7 @@ def write_image_csvs(images: list[tuple[Path, RadarImage]]) -> None:
         return
     db = np.stack([img.magnitude_db[:len(img.magnitude_db) // 2 + 1] for _, img in images])
     n = db.shape[1]
-    cell = _record_dtype({"bin": len(str(n - 1)) + 1})
-    cells = np.zeros(db.shape, cell)
-    cells["bin"] = np.array([f"{b}," for b in range(n)], cell["bin"])
-    text = _g6_text(db, cells)
+    text = _g6_text(db, np.repeat(_image_labels(n)[np.newaxis], len(images), axis=0))
     ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1::n] + 1
     view, start = memoryview(text), 0
     for (path, _), end in zip(images, ends.tolist()):
@@ -214,12 +222,13 @@ class SceneFrame(NamedTuple):
 def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], grid: bool,
               snr_db: float | None, seed: int) -> Iterator[SceneFrame]:
     """The one frame loop: each measurement time through the diagonal and the tracker
-    (if windows) and the grid (if grid), yielded a frame at a time. snr_db adds noise
-    seeded by seed (None: noiseless). Every refusal comes at the call: a seed
-    config.seed_number refuses, an snr_db NoiseSpec refuses, what check_readable
-    refuses for the estimators the run uses, and a degenerate echo power. Frames with
-    no vehicle ahead are skipped; a time's index in the time list seeds that frame's
-    phases.
+    (if windows) and the grid (if grid), yielded a frame at a time. The diagonal frames
+    go to process_frame in blocks of up to _DIAG_BLOCK_CELLS cells, each block made when
+    its first frame is asked for. snr_db adds noise seeded by seed (None: noiseless).
+    Every refusal comes at the call: a seed config.seed_number refuses, an snr_db
+    NoiseSpec refuses, what check_readable refuses for the estimators the run uses, and
+    a degenerate echo power. Frames with no vehicle ahead are skipped; a time's index in
+    the time list seeds that frame's phases.
     """
     seed = seed_number("seed", seed)
     noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
@@ -230,10 +239,14 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
 
     def run() -> Iterator[SceneFrame]:
         tracks = TrackTable() if windows else None
-        for t, targets, amps in frames:
-            diag = owner = rd = dets = None
+        step = max(1, _DIAG_BLOCK_CELLS // cfg.n_diag)
+        blocks = (DiagonalVector(np.stack([synthesize_diag(cfg, targets, amps, noise=noise).values
+                                           for _, targets, amps in frames[s:s + step]]))
+                  for s in range(0, len(frames), step))
+        diags = (diag for block in blocks for diag in process_frame(block, windows))
+        for (t, targets, amps), diag in zip(frames, diags if windows else itertools.repeat(None)):
+            owner = rd = dets = None
             if windows:
-                diag = process_frame(synthesize_diag(cfg, targets, amps, noise=noise), windows)
                 tracks = resolve_ambiguity(cfg, tracks, (t, diag.pairs))
                 owner = tracks.rows(tracks.owner)
             if grid:

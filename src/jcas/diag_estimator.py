@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -96,30 +97,37 @@ class DiagFrame:
     orphans: list[Peak]
 
 
+@lru_cache(maxsize=32)
 def window_coefficients(kind: WindowKind, n: int) -> np.ndarray:
+    """The n taper coefficients, built once per (kind, n) and read-only."""
     if n < 2:
         raise ValueError("window length must be >= 2")
     if kind is WindowKind.RECTANGULAR:
-        return np.ones(n)
-    if kind is WindowKind.HAMMING:
-        k = np.arange(n)
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
-    raise ValueError(f"unknown window kind: {kind!r}")
+        w = np.ones(n)
+    elif kind is WindowKind.HAMMING:
+        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    else:
+        raise ValueError(f"unknown window kind: {kind!r}")
+    w.flags.writeable = False
+    return w
 
 
 def apply_window(d: DiagonalVector, kind: WindowKind) -> DiagonalVector:
-    """Element-wise taper; rectangular is the identity."""
+    """Element-wise taper of each frame; rectangular is the identity."""
     if kind is WindowKind.RECTANGULAR:
         return d
-    return DiagonalVector(d.values * window_coefficients(kind, len(d.values)))
+    return DiagonalVector(d.values * window_coefficients(kind, d.values.shape[-1]))
 
 
 def diag_spectrum(d: DiagonalVector, method: str = "fast",
-                  counter: transforms.MultiplyCounter | None = None) -> RadarImage:
-    """Length-N DFT magnitude of the diagonal observation, dB-normalized."""
+                  counter: transforms.MultiplyCounter | None = None
+                  ) -> RadarImage | list[RadarImage]:
+    """Length-N DFT magnitude of each frame, dB-normalized to its own peak (a block's: a list)."""
     spectrum = transforms.dft(np.asarray(d.values, dtype=complex),
                               method=method, counter=counter)
-    return RadarImage(*to_normalized_db(np.abs(spectrum)))
+    db, levels = to_normalized_db(np.abs(spectrum).reshape(-1, spectrum.shape[-1]), -1)
+    images = list(map(RadarImage, db, levels))
+    return images if spectrum.ndim > 1 else images[0]
 
 
 def thin_peaks(peaks: Iterable[Peak], n: int,
@@ -164,19 +172,22 @@ def detect_peaks_1d(img: RadarImage, threshold_db: float,
                       len(db), min_separation)
 
 
-def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> DiagFrame:
-    """Window, transform and detect one frame with each window, then pair.
-
-    Each window's image is thresholded at its DEFAULT_THRESHOLD_DB floor.
-    The union of the detections is thinned strongest-first (an earlier
-    window wins a tie) and paired with pair_peaks.
+def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]
+                  ) -> DiagFrame | list[DiagFrame]:
+    """Window and transform a frame or a block once per window, then detect and pair
+    each frame: a frame's DiagFrame, or a block's in row order. Each window's image is
+    thresholded at its DEFAULT_THRESHOLD_DB floor. The union of a frame's detections is
+    thinned strongest-first (an earlier window wins a tie) and paired with pair_peaks.
     """
-    images = {kind: diag_spectrum(apply_window(d, kind)) for kind in windows}
-    peaks = thin_peaks([p for kind, img in images.items()
-                        for p in detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind])],
-                       len(d.values))
-    pairs, orphans = pair_peaks(peaks)
-    return DiagFrame(images=images, peaks=peaks, pairs=pairs, orphans=orphans)
+    block = d if d.values.ndim > 1 else DiagonalVector(d.values[np.newaxis])
+    spectra = {kind: diag_spectrum(apply_window(block, kind)) for kind in windows}
+    frames = []
+    for images in (dict(zip(spectra, row)) for row in zip(*spectra.values())):
+        peaks = thin_peaks([p for kind, img in images.items()
+                            for p in detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind])],
+                           d.values.shape[-1])
+        frames.append(DiagFrame(images, peaks, *pair_peaks(peaks)))
+    return frames if d.values.ndim > 1 else frames[0]
 
 
 def psl(img: RadarImage, mainlobe_halfwidth: int = 4,
@@ -221,18 +232,21 @@ def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0
     if amp_tolerance_db <= 0:
         raise ValueError("amp_tolerance_db must be positive")
     unpaired = sorted(peaks, key=lambda p: -p.magnitude_db)
+    # diffs[i] = unpaired[i] - unpaired[i + 1]; a join closes the gaps around the pair.
+    diffs = [a.magnitude_db - b.magnitude_db for a, b in zip(unpaired, unpaired[1:])]
     pairs: list[PeakPair] = []
-    while len(unpaired) >= 2:
-        diffs = [a.magnitude_db - b.magnitude_db
-                 for a, b in zip(unpaired, unpaired[1:])]
-        i = min(range(len(diffs)), key=diffs.__getitem__)
-        if diffs[i] > amp_tolerance_db:
+    while diffs:
+        i = diffs.index(gap := min(diffs))  # the first smallest gap
+        if gap > amp_tolerance_db:
             break
         a, b = unpaired[i], unpaired[i + 1]
         lo, hi = sorted((a.bin, b.bin))
         pairs.append(PeakPair(l1=lo, l2=hi,
                               magnitude_db=0.5 * (a.magnitude_db + b.magnitude_db)))
         del unpaired[i:i + 2]
+        diffs[max(i - 1, 0):i + 2] = (
+            [unpaired[i - 1].magnitude_db - unpaired[i].magnitude_db]
+            if 0 < i < len(unpaired) else [])
     return pairs, unpaired
 
 

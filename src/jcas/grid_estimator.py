@@ -41,14 +41,17 @@ class GridDetection:
     velocity_mps: float
 
 
-def to_normalized_db(mag: np.ndarray) -> tuple[np.ndarray, float]:
-    """dB of mag, overwritten in place, with the peak at 0 dB; returns (map, peak level in dB)."""
-    peak = float(mag.max())
-    if peak <= 0:
+def to_normalized_db(mag: np.ndarray, axis: int | None = None
+                     ) -> tuple[np.ndarray, float | list[float]]:
+    """dB of mag, overwritten in place, with the peak at 0 dB; returns (map, peak level in dB).
+    Along an axis, each slice has its own peak, and the levels are a list."""
+    peak = mag.max(axis=axis, keepdims=True)
+    if (peak <= 0).any():
         raise ValueError("cannot normalize an all-zero magnitude array")
     np.maximum(mag, peak * _MAG_FLOOR_REL, out=mag)
     np.log10(np.divide(mag, peak, out=mag), out=mag)
-    return np.multiply(mag, 20.0, out=mag), 20.0 * np.log10(peak)
+    levels = [20.0 * np.log10(p) for p in peak.ravel().tolist()]
+    return np.multiply(mag, 20.0, out=mag), levels[0] if axis is None else levels
 
 
 def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarray:

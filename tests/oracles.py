@@ -93,6 +93,19 @@ def out_of_place_map(x) -> np.ndarray:
     return to_normalized_db(np.abs(np.fft.ifft(np.fft.fft(x, axis=1), axis=0)))[0]
 
 
+def frame_image(values, window: str) -> tuple[np.ndarray, float]:
+    """One diagonal frame's dB radar image and reference level, written out per frame:
+    the literal window ("rect" or "hamming"), numpy's FFT of the frame alone, its
+    magnitude clamped at peak * 1e-15, and 20*log10 of the ratio to the peak."""
+    values = np.asarray(values, dtype=complex)
+    if window == "hamming":
+        n = len(values)
+        values = values * (0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1)))
+    mag = np.abs(np.fft.fft(values))
+    peak = float(mag.max())
+    return 20.0 * np.log10(np.maximum(mag, peak * 1e-15) / peak), 20.0 * np.log10(peak)
+
+
 def single_tone_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:
     """Diagonal-comb values as the literal product of each target's range and
     Doppler phase ramps: one tone per target at l_d - l_r, amp each."""

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import (LinkBudget, NoiseSpec, rx_power, synthesize_diag, synthesize_grid,
-                          target_amplitudes)
+from jcas.channel import (DiagonalVector, LinkBudget, NoiseSpec, rx_power, synthesize_diag,
+                          synthesize_grid, target_amplitudes)
 from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
                          tone_pair_bins)
 from oracles import (awgn_expression, expected_doppler_bin, expected_range_bin,
@@ -192,6 +192,14 @@ class TestSynthesizeDiag:
         clean = synthesize_diag(table1, targets, amps).values
         noisy = synthesize_diag(table1, targets, amps, noise=noise).values
         assert np.array_equal(noisy, awgn_expression(clean, noise, 1.0))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_diagonal_values_are_a_frame_or_a_block(self, shape):
+        assert DiagonalVector(np.ones((2, 3))).values.shape == (2, 3)
+        with pytest.raises(ValueError, match="must be 1-D, or 2-D"):
+            DiagonalVector(np.ones(shape))
+        with pytest.raises(ValueError, match="must be finite"):
+            DiagonalVector(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
     def test_diagonal_needs_square_combs(self, small_cfg):
         import dataclasses

@@ -8,18 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import jcas.cli
 import jcas.diag_estimator
-from jcas.channel import LinkBudget, synthesize_diag, target_amplitudes
+from jcas.channel import LinkBudget, NoiseSpec, synthesize_diag, target_amplitudes
 from jcas.cli import build_parser, fmt, main, run_scene, write_image_csvs, write_rdmap_csv
 from jcas.config import OfdmConfig
 from jcas.diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, WindowKind, candidates,
                                  process_frame)
-from jcas.scenario import Scene, VehicleSpec, builtin_scene
-from oracles import template_image_csv, template_rdmap_csv
+from jcas.scenario import Scene, VehicleSpec, builtin_scene, targets_at
+from oracles import frame_image, template_image_csv, template_rdmap_csv
 
 DET_HEADER = ("time_s,l1,l2,l_mean,l_delta,r_eq15_m,v_eq15_mps,"
               "r_eq16_m,v_eq16_mps,pair_mag_db,track_id,resolved,r_m,v_mps")
@@ -459,12 +459,14 @@ def test_simulate_stationary_vehicle_prints_dead_branch_reading(tmp_path, monkey
     # not inf, still goes out under r_eq16_m.
     real = jcas.cli.process_frame
 
-    def self_paired(d, windows):
-        frame = real(d, windows)
-        assert not frame.pairs and len(frame.orphans) == 1
-        return dataclasses.replace(
+    def self_paired(block, windows):
+        frames = real(block, windows)
+        for frame in frames:
+            assert not frame.pairs and len(frame.orphans) == 1
+        return [dataclasses.replace(
             frame, orphans=[],
             pairs=[PeakPair(p.bin, p.bin, p.magnitude_db) for p in frame.orphans])
+            for frame in frames]
 
     monkeypatch.setattr(jcas.cli, "process_frame", self_paired)
     out = tmp_path / "run"
@@ -782,6 +784,8 @@ def test_run_scene_frames_carry_their_own_owners(table1):
 
 
 def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
+    # Diagonal frames are made a block at a time: the first block when the
+    # first frame is asked for, the next only when its first frame is.
     made = []
     real = jcas.cli.synthesize_diag
 
@@ -790,10 +794,47 @@ def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(jcas.cli, "synthesize_diag", counted)
-    frames = run_scene(_one_car(0.0, 0.2), table1, (WindowKind.RECTANGULAR,), False, None, 0)
+    per_block = jcas.cli._DIAG_BLOCK_CELLS // table1.n_diag
+    times = [0.01 * i for i in range(per_block + 2)]
+    frames = run_scene(_one_car(*times), table1, (WindowKind.RECTANGULAR,), False, None, 0)
     assert made == []
-    assert next(frames).t == 0.0 and len(made) == 1
-    assert [frame.t for frame in frames] == [0.2] and len(made) == 2
+    assert next(frames).t == 0.0 and len(made) == per_block
+    assert [next(frames).t for _ in range(per_block - 1)] == times[1:per_block]
+    assert len(made) == per_block
+    assert next(frames).t == times[per_block] and len(made) == per_block + 2
+    assert [frame.t for frame in frames] == times[per_block + 1:]
+    assert len(made) == per_block + 2
+    ranges = [targets[0].range_m for _, targets, _ in made]
+    assert ranges == sorted(set(ranges))  # each frame once, in time order
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_frames=st.integers(1, 70),
+       vehicles=st.lists(st.tuples(st.floats(30.0, 100.0), st.floats(-10.0, 10.0),
+                                   st.sampled_from([1.0, 3.16, 10.0, 100.0])),
+                         min_size=1, max_size=32),
+       window=st.sampled_from(list(WINDOW_MODES)), snr_db=st.sampled_from([None, 20.0]),
+       seed=st.integers(0, 2 ** 31))
+@example(n_frames=70, vehicles=[(40.0, 5.0, 3.16)], window="adaptive", snr_db=20.0, seed=1)
+def test_run_scene_block_rows_equal_the_per_frame_image(n_frames, vehicles, window,
+                                                         snr_db, seed):
+    # Each frame's image, made in a block of frames, equals that frame's own
+    # window -> FFT -> dB bit for bit, and so does its reference level; 70
+    # frames of 480 bins take three blocks.
+    cfg = OfdmConfig.table1()
+    scene = Scene(tuple(VehicleSpec(f"v{i}", *v) for i, v in enumerate(vehicles)),
+                  tuple(0.02 * k for k in range(n_frames)))
+    frames = list(run_scene(scene, cfg, WINDOW_MODES[window], False, snr_db, seed))
+    assert len(frames) == n_frames
+    noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
+    for fidx, frame in enumerate(frames):
+        targets = targets_at(scene, frame.t)
+        amps = target_amplitudes(cfg, LinkBudget(), targets, seed, fidx)
+        d = synthesize_diag(cfg, targets, amps, noise=noise)
+        for kind, img in frame.diag.images.items():
+            db, level = frame_image(d.values, kind.value)
+            assert img.magnitude_db.tobytes() == db.tobytes()
+            assert img.reference_level == level
 
 
 def test_run_scene_skips_empty_frames_and_seeds_by_time_index(monkeypatch, table1):

@@ -9,7 +9,7 @@ from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
                                  RadarImage, psl, thin_peaks,
                                  window_coefficients)
-from oracles import local_maxima_1d, single_tone_diag, thin_pairwise
+from oracles import frame_image, local_maxima_1d, single_tone_diag, thin_pairwise
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
 
@@ -45,6 +45,33 @@ class TestWindow:
 
 
 class TestSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 40), st.sampled_from([2, 6, 7, 97, 100, 256, 480])),
+           seed=st.integers(0, 2 ** 32 - 1), window=st.sampled_from(list(WindowKind)))
+    def test_block_rows_equal_the_per_frame_image(self, shape, seed, window):
+        # A block's windowed, transformed and normalized rows equal each row
+        # run alone through the literal per-frame formula, bit for bit.
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        images = diag_spectrum(apply_window(DiagonalVector(block), window))
+        assert len(images) == shape[0]
+        for row, img in zip(block, images):
+            db, level = frame_image(row, window.value)
+            assert img.magnitude_db.tobytes() == db.tobytes()
+            assert img.reference_level == level
+
+    def test_block_refuses_any_all_zero_frame(self):
+        block = np.ones((3, 16), dtype=complex)
+        block[1] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            diag_spectrum(DiagonalVector(block))
+
+    def test_window_coefficients_are_cached_read_only(self):
+        w = window_coefficients(WindowKind.HAMMING, 64)
+        assert window_coefficients(WindowKind.HAMMING, 64) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
     def test_fig3_dual_peaks(self, table1):
         # golden value on the naive transform path
         d = synthesize_diag(table1, [FIG3_TARGET], np.array([1.0]))

@@ -268,7 +268,7 @@ _TOML_VALUES = st.recursive(
 _ASSIGNED = [line for line in SCENE_TEXT.splitlines() if " = " in line]
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 @given(line=st.sampled_from(_ASSIGNED), value=_TOML_VALUES)
 def test_any_toml_value_loads_or_raises_value_error(tmp_path, line, value):
     # The CLI catches ValueError only; anything else would be a traceback.
