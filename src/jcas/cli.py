@@ -8,12 +8,12 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-Numbers are written as "%.6g" renders them: "%" templates for the small CSVs, and for
-the radar images and range-Doppler maps records built in numpy by one kernel, _g6_text,
-that equal "%.6g" byte for byte. run_scene runs diagonal frames a block at a time.
-simulate writes each rdmap_<t>.csv as its frame comes, and the image_<t>.csv files after
-the frame loop, all in one _g6_text call unless they pass _IMAGE_FLUSH_CELLS cells.
-Identical configuration and seed give byte-identical files.
+Every number is written as "%.6g" renders it: "%" templates for file names, printed
+figures and the small CSVs, and for the radar images and range-Doppler maps one numpy
+kernel, _g6_text, whose text equals "%.6g" byte for byte. run_scene runs diagonal frames
+a block at a time. simulate writes each rdmap_<t>.csv as its frame comes, and the
+image_<t>.csv files after the frame loop, all in one _g6_text call unless they pass
+_IMAGE_FLUSH_CELLS cells. Identical configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,17 +39,6 @@ from .tracking import Track, TrackTable, resolve_ambiguity
 from .transforms import MultiplyCounter
 
 GRID_THRESHOLD_DB = -30.0
-
-
-def fmt(x) -> str:
-    """Fixed 6-significant-digit rendering of one number.
-
-    The CSV writers render the same text in bulk: "%d" / "%.6g" templates,
-    and in write_image_csvs and write_rdmap_csv "%.6g" text built in numpy.
-    """
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".6g")
 
 
 def _load_scene_arg(arg: str) -> tuple[Scene, OfdmConfig]:
@@ -97,28 +86,34 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return head.reshape(12000, 8).view(np.uint64)[:, 0], tail.view(np.uint32)[:, 0]
 
 
-def _record_dtype(widths: dict[str, int]) -> np.dtype:
-    """A record of NUL-padded text fields of the given widths, then an 8-byte head and
+@functools.cache
+def _record_dtype(widths: tuple[int, ...]) -> np.dtype:
+    """A record of NUL-padded label fields of the given widths, then an 8-byte head and
     a 4-byte tail over the head's unused last 3 bytes."""
-    *offsets, o = itertools.accumulate(widths.values(), initial=0)
-    return np.dtype({"names": [*widths, "head", "tail"],
-                     "formats": [f"S{w}" for w in widths.values()] + ["u8", "u4"],
+    *offsets, o = itertools.accumulate(widths, initial=0)
+    return np.dtype({"names": [f"label{i}" for i in range(len(widths))] + ["head", "tail"],
+                     "formats": [f"S{w}" for w in widths] + ["u8", "u4"],
                      "offsets": [*offsets, o, o + 5], "itemsize": o + 9})
 
 
-def _g6_text(x: np.ndarray, cells: np.ndarray) -> bytes:
-    """The text of records cells, each ending in its cell of x as "%.6g" and a newline.
+def _g6_text(x: np.ndarray, *labels: np.ndarray) -> bytes:
+    """Lines of x's cells in C order, each its labels' text, x as "%.6g" and a newline.
 
-    cells is C-contiguous, of x's shape and a _record_dtype; its head and tail are
-    overwritten, its text fields make each line's prefix. A cell with 1 <= |x| < 1000
-    after rounding takes both from _digit_tables by its digits z = rint(s),
-    s = |x| * 10**(5-e): s carries one rounding error, under 1.2e-10, so z is what
-    "%.6g" rounds to unless s lies within 1e-6 of a half. Any other cell, found by a
-    byte scan (count-sized numpy arrays pin heap chunks), is its record's prefix and
-    its own "%.6g" line between runs of records. replace() drops the NULs at one memchr
-    each, which is fast only on records this small: they hold under one NUL each on a
-    typical map.
+    Each of labels is a byte-string array that broadcasts to x's shape, its last axis 1
+    or x's, and gives the line's next prefix field. Each cell fills a fixed-width
+    _record_dtype record: the labels, NUL-padded, then a head and a tail. A cell with
+    1 <= |x| < 1000 after rounding takes both from _digit_tables by its digits
+    z = rint(s), s = |x| * 10**(5-e): s carries one rounding error, under 1.2e-10, so z
+    is what "%.6g" rounds to unless s lies within 1e-6 of a half. Any other cell, found
+    by a byte scan (count-sized numpy arrays pin heap chunks), is its record's prefix
+    and its own "%.6g" line between runs of records. replace() drops the NULs at one
+    memchr each, which is fast only on records this small: they hold under one NUL each
+    on a typical map.
     """
+    cells = np.empty(x.shape, _record_dtype(tuple(label.itemsize for label in labels)))
+    # np.repeat, as numpy copies a text from a zero stride (one along a row) slowly
+    for name, label in zip(cells.dtype.names, labels):
+        cells[name] = np.repeat(label, x.shape[-1] // label.shape[-1], axis=-1)
     head, tail = _digit_tables()
     a = np.abs(x)
     ok = a >= 1
@@ -145,10 +140,9 @@ def _g6_text(x: np.ndarray, cells: np.ndarray) -> bytes:
 
 
 @functools.cache
-def _image_labels(n: int) -> np.ndarray:
-    """Read-only image records of bins 0..n-1, built once per n: "bin," labels, the rest NUL."""
-    labels = np.zeros(n, _record_dtype({"bin": len(str(n - 1)) + 1}))
-    labels["bin"] = [f"{b}," for b in range(n)]
+def _labels(n: int) -> np.ndarray:
+    """Read-only labels b"0," ... b"{n-1},", built once per n."""
+    labels = np.array([f"{i}," for i in range(n)], "S")
     labels.flags.writeable = False
     return labels
 
@@ -156,14 +150,14 @@ def _image_labels(n: int) -> np.ndarray:
 def write_image_csvs(images: list[tuple[Path, RadarImage]]) -> None:
     """Write each radar image's half spectrum, bins 0..N/2, as bin,magnitude_db to its path.
 
-    The text equals "%d,%.6g" of every bin, byte for byte. All the images' records are
+    The text equals "%d,%.6g" of every bin, byte for byte. All the images' lines are
     made by one _g6_text call, and split per file at every (N/2 + 1)-th newline.
     """
     if not images:
         return
     db = np.stack([img.magnitude_db[:len(img.magnitude_db) // 2 + 1] for _, img in images])
     n = db.shape[1]
-    text = _g6_text(db, np.repeat(_image_labels(n)[np.newaxis], len(images), axis=0))
+    text = _g6_text(db, _labels(n))
     ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1::n] + 1
     view, start = memoryview(text), 0
     for (path, _), end in zip(images, ends.tolist()):
@@ -176,27 +170,20 @@ def write_image_csvs(images: list[tuple[Path, RadarImage]]) -> None:
 def write_rdmap_csv(path: Path, rd: RadarImage) -> None:
     """Write a range-Doppler map as p,q,magnitude_db, one row per cell.
 
-    The text equals "%.6g" of every cell, byte for byte. A few map rows at a time, each
-    cell fills a fixed-width record, "p," and "q," then _g6_text's head and tail (17
-    bytes on a 480 x 480 map), in one buffer the blocks reuse.
+    The text equals "%d,%d,%.6g" of every cell, byte for byte: _g6_text makes it a few
+    map rows at a time, with the p and q labels of _labels.
     """
     db = rd.magnitude_db
     n_f, n_t = db.shape
-    cell = _record_dtype({"p": len(str(n_f - 1)) + 1, "q": len(str(n_t - 1)) + 1})
     step = max(1, _RDMAP_BLOCK_CELLS // n_t)
-    rows = np.array([f"{p}," for p in range(n_f)], cell["p"])[:, None]
-    cells = np.zeros((step, n_t), cell)
-    cells["q"] = np.array([f"{q}," for q in range(n_t)], cell["q"])
+    rows, cols = _labels(n_f)[:, np.newaxis], _labels(n_t)
     with open(path, "wb") as f:
         f.write(b"p,q,magnitude_db\n")
         for p in range(0, n_f, step):
-            x = db[p:p + step]
-            block = cells[:len(x)]
-            block["p"] = rows[p:p + len(x)]
-            f.write(_g6_text(x, block))
+            f.write(_g6_text(db[p:p + step], rows[p:p + step], cols))
 
 
-# One detections.csv row: "%.6g" renders a float as fmt does, "%s" as str does.
+# One detections.csv row: "%.6g" for each float, "%s" for what str renders.
 _DETECTION_ROW = "%.6g,%s,%s,%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%s,%s,%.6g,%.6g"
 
 
@@ -259,10 +246,10 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, cfg = _load_scene_arg(args.scene)
     times = scene.measurement_times_s
-    for a, b in zip(times, times[1:]):  # fmt is monotonic, so a clash is adjacent
-        if fmt(a) == fmt(b):
+    for a, b in zip(times, times[1:]):  # "%.6g" is monotonic, so a clash is adjacent
+        if (text := "%.6g" % a) == "%.6g" % b:
             raise ValueError(f"measurement times {a!r} and {b!r} both print as "
-                             f"{fmt(a)}, so one frame's files would overwrite the other's")
+                             f"{text}, so one frame's files would overwrite the other's")
     windows = WINDOW_MODES[args.window] if args.estimator != "grid2d" else ()
     run_grid = args.estimator != "diag"
     frames = run_scene(scene, cfg, windows, run_grid, args.snr_db, args.seed)
@@ -277,14 +264,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if windows:
             for kind, img in diag.images.items():
                 suffix = f"_{kind.value}" if len(windows) > 1 else ""
-                images.append((out_dir / f"image_{fmt(t)}{suffix}.csv", img))
+                images.append((out_dir / ("image_%.6g%s.csv" % (t, suffix)), img))
                 cells += len(img.magnitude_db) // 2 + 1
             if cells >= _IMAGE_FLUSH_CELLS:
                 write_image_csvs(images)
                 images, cells = [], 0
             det_rows += _detection_rows(t, diag.pairs, owner)
         if run_grid:
-            write_rdmap_csv(out_dir / f"rdmap_{fmt(t)}.csv", rd)
+            write_rdmap_csv(out_dir / ("rdmap_%.6g.csv" % t), rd)
             grid_rows += ["%.6g,%d,%d,%.6g,%.6g,%.6g" % (
                 t, det.range_bin, det.doppler_bin, det.magnitude_db, det.range_m,
                 det.velocity_mps) for det in dets]
@@ -311,17 +298,14 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
     # A non-square comb has no diagonal; its grid figures still print.
     square = cfg.n_sensing_freq == cfg.n_sensing_time
     lines = [
-        ("range resolution [m]", fmt(caps.range_resolution)),
-        ("velocity resolution [m/s]", fmt(caps.velocity_resolution)),
-        ("max unambiguous range [m]", fmt(caps.max_unambiguous_range)),
-        ("max unambiguous velocity [m/s]", fmt(caps.max_unambiguous_velocity)),
-        ("grid sensing overhead", fmt(overhead(cfg, diagonal=False))),
-        ("diagonal sensing overhead", fmt(overhead(cfg, diagonal=True)) if square else "n/a"),
+        ("range resolution [m]", "%.6g" % caps.range_resolution),
+        ("velocity resolution [m/s]", "%.6g" % caps.velocity_resolution),
+        ("max unambiguous range [m]", "%.6g" % caps.max_unambiguous_range),
+        ("max unambiguous velocity [m/s]", "%.6g" % caps.max_unambiguous_velocity),
+        ("grid sensing overhead", "%.6g" % overhead(cfg, diagonal=False)),
+        ("diagonal sensing overhead", "%.6g" % overhead(cfg, diagonal=True) if square else "n/a"),
     ]
-    width = max(len(name) for name, _ in lines)
-    for name, value in lines:
-        print(f"{name:<{width}}  {value}")
-    if args.alloc_csv is not None:
+    if args.alloc_csv is not None:  # before any output: a refused directory prints nothing
         out = Path(args.alloc_csv)
         out.mkdir(parents=True, exist_ok=True)
         for diagonal in (False, True) if square else (False,):
@@ -330,6 +314,9 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
                 f.write("m,n\n")  # then 4096 rows at a time: never all N_f*N_t as text
                 for s in range(0, len(positions), 4096):
                     f.write("".join(f"{m},{n}\n" for m, n in positions[s:s + 4096]))
+    width = max(len(name) for name, _ in lines)
+    for name, value in lines:
+        print(f"{name:<{width}}  {value}")
     return 0
 
 
@@ -351,15 +338,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     counts = [(n, *count_ops(n)) for n in args.n or [64, 128, 256]]
     rows = [(name, n, count) for n, grid, diag in counts
             for name, count in (("grid2d", grid), ("diag", diag))]
+    if args.csv is not None:  # before any output: a refused path prints nothing
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(Path(args.csv), "algorithm,n,counted_multiplies",
+                   [f"{name},{n},{count}" for name, n, count in rows])
     print(f"{'algorithm':<12}{'n':>6}{'multiplies':>14}")
     for name, n, count in rows:
         print(f"{name:<12}{n:>6}{count:>14}")
     for n, grid, diag in counts:
-        print(f"n={n}: counted ratio {fmt(grid / diag)}")
-    if args.csv is not None:
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(Path(args.csv), "algorithm,n,counted_multiplies",
-                   [f"{name},{n},{count}" for name, n, count in rows])
+        print("n=%d: counted ratio %.6g" % (n, grid / diag))
     return 0
 
 

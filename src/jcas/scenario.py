@@ -65,7 +65,8 @@ class Scene:
 
     def __post_init__(self) -> None:
         times = self.measurement_times_s
-        times = tuple(finite_number("measurement_times_s", t)
+        # + 0.0 stores -0.0 as 0.0, whose files print as 0, and leaves every other float
+        times = tuple(finite_number("measurement_times_s", t) + 0.0
                       for t in (times if isinstance(times, (list, tuple)) else (times,)))
         if not times or min(times) < 0:
             raise ValueError("measurement_times_s must be one or more finite times >= 0")

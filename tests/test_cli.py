@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 import jcas.cli
 import jcas.diag_estimator
 from jcas.channel import LinkBudget, NoiseSpec, synthesize_diag, target_amplitudes
-from jcas.cli import build_parser, fmt, main, run_scene, write_image_csvs, write_rdmap_csv
+from jcas.cli import build_parser, main, run_scene, write_image_csvs, write_rdmap_csv
 from jcas.config import OfdmConfig
 from jcas.diag_estimator import (WINDOW_MODES, PeakPair, RadarImage, WindowKind, candidates,
                                  process_frame)
@@ -30,27 +30,8 @@ def _read_csv(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def test_fmt_six_significant_digits():
-    assert fmt(0.37202380952) == "0.372024"
-    assert fmt(178.57142857) == "178.571"
-    assert fmt(4.2517006802e-05) == "4.2517e-05"
-    assert fmt(3) == "3"
-    assert fmt(np.float64(0.2)) == "0.2"
-
-
 # -300 dB is the clamp floor of to_normalized_db (peak * 1e-15).
 FORMAT_EDGE_VALUES = (0.0, -0.0, -300.0, 1e-5, 99999.95, 123456.5, 1e16)
-
-
-def test_percent_formats_match_fmt():
-    # The small CSVs format cells with "%d" / "%.6g", and write_image_csvs
-    # and write_rdmap_csv build text equal to them in numpy; they must give
-    # exactly what fmt gives.
-    for x in FORMAT_EDGE_VALUES:
-        for v in (x, np.float64(x), -x):
-            assert "%.6g" % v == fmt(v), v
-    for i in (0, 7, 479, -3, np.int64(0), np.int64(479)):
-        assert "%d" % i == fmt(i), i
 
 
 def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
@@ -58,7 +39,7 @@ def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
     db = rng.uniform(-320.0, 0.0, size=(6, 9))
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
     write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
-    rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(6) for q in range(9)]
+    rows = ["%d,%d,%.6g" % (p, q, db[p, q]) for p in range(6) for q in range(9)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
 
@@ -71,7 +52,7 @@ def test_write_rdmap_csv_multi_digit_indices(tmp_path, shape):
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
     db[-1, -len(FORMAT_EDGE_VALUES):] = FORMAT_EDGE_VALUES
     write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
-    rows = [f"{p},{q},{fmt(db[p, q])}" for p in range(n_f) for q in range(n_t)]
+    rows = ["%d,%d,%.6g" % (p, q, db[p, q]) for p in range(n_f) for q in range(n_t)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
 
@@ -162,7 +143,7 @@ def test_write_rdmap_csv_degenerate_cells_raise_no_warning(tmp_path):
 def test_write_image_csv_matches_per_cell_rendering(tmp_path):
     db = np.random.default_rng(6).uniform(-320.0, 0.0, size=16)
     write_image_csvs([(tmp_path / "img.csv", RadarImage(db, 0.0))])
-    rows = [f"{b},{fmt(db[b])}" for b in range(9)]
+    rows = ["%d,%.6g" % (b, db[b]) for b in range(9)]
     expected = "\n".join(["bin,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "img.csv").read_text() == expected
 
@@ -181,7 +162,7 @@ ODD_CELLS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1000.0, -1234.5, 1e16, -1e-5, 0
              123.4565, -12.34565, 1.234565, np.nextafter(-12.34565, 0)]
 
 
-@pytest.mark.parametrize("n", [480, 16, 15, 2])
+@pytest.mark.parametrize("n", [2002, 480, 16, 15, 2])
 def test_write_image_csvs_odd_cells_at_image_edges_match_oracle(tmp_path, n):
     # Odd cells on the first and the last written bin of each image, so that
     # the last bin of one image and the first of the next are adjacent in the
@@ -195,6 +176,17 @@ def test_write_image_csvs_odd_cells_at_image_edges_match_oracle(tmp_path, n):
     _assert_images_match_oracle(tmp_path, dbs)
     middle = np.resize(np.array(ODD_CELLS), n)
     _assert_images_match_oracle(tmp_path, [dbs[0], middle, dbs[1]])
+
+
+def test_labels_are_one_read_only_array_per_n():
+    # Both writers take their bin, p and q labels from the one cached set.
+    labels = jcas.cli._labels(1003)
+    assert jcas.cli._labels(1003) is labels and jcas.cli._labels(2) is not labels
+    assert labels.dtype == np.dtype("S5") and labels.shape == (1003,)
+    assert [labels[0], labels[999], labels[1002]] == [b"0,", b"999,", b"1002,"]
+    assert not labels.flags.writeable
+    with pytest.raises(ValueError):
+        labels[0] = b"9,"
 
 
 def test_write_image_csvs_crafted_cells_match_oracle(tmp_path):
@@ -479,7 +471,7 @@ def test_simulate_stationary_vehicle_prints_dead_branch_reading(tmp_path, monkey
     for row in rows:
         readings = candidates(table1, PeakPair(int(row[1]), int(row[2]), 0.0))
         assert row[1] == row[2] and row[7] == "0"
-        assert row[5:9] == [fmt(x) for x in readings]
+        assert row[5:9] == ["%.6g" % x for x in readings]
         assert row[12:] == row[5:7]
     _, [track] = _read_csv(out / "tracks.csv")
     assert track[:2] == ["0", "2"] and track[3:] == ["inf", "a", *rows[-1][5:7]]
@@ -545,6 +537,17 @@ rcs_m2 = 3.16
     assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
     assert "strictly increasing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_names_a_negative_zero_time_as_zero(tmp_path):
+    # -0.0 is a valid first time; its files and rows print it as 0, not -0.
+    out = tmp_path / "run"
+    scene = tmp_path / "signed.cfg"
+    scene.write_text(ONE_CAR_SCENE.replace("[0.0, 0.2]", "[-0.0, 0.2]"))
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("image_*")) == ["image_0.2.csv", "image_0.csv"]
+    _, rows = _read_csv(out / "detections.csv")
+    assert {row[0] for row in rows} == {"0", "0.2"}
 
 
 FAR_SCENE = """
@@ -1284,6 +1287,22 @@ def test_bench_refuses_a_size_before_any_output(tmp_path, capsys):
     assert main(["bench", "--n", "16", "--n", "1", "--csv", str(csv_path)]) == 1
     assert capsys.readouterr() == ("", "error: n must be >= 2\n")
     assert not csv_path.parent.exists()
+
+
+def test_bench_refuses_a_csv_path_before_any_output(tmp_path, capsys):
+    # The CSV is written before the table prints, so a path under a regular
+    # file prints nothing.
+    (tmp_path / "file").write_text("")
+    assert main(["bench", "--n", "8", "--csv", str(tmp_path / "file" / "x.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 17]")
+
+
+def test_capabilities_refuses_an_alloc_directory_before_any_output(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["capabilities", "--alloc-csv", str(tmp_path / "file")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 17]")
 
 
 BENCH_DEFAULT_OUT = """\

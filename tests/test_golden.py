@@ -1,12 +1,15 @@
 """Byte-for-byte regression guard on `jcas simulate` outputs.
 
-Each directory under tests/golden/ holds the files one seeded run wrote.
+Each directory under tests/golden/ holds the files one seeded run wrote;
+single_target/ holds the profiles scripts/reproduce_figures.py writes.
 Every file is compared byte for byte, except the grid runs' rdmap_<t>.csv
 files: they hold 230,400 rows each, so only their SHA-256 digests are kept,
 in rdmap.sha256 (``sha256sum`` format).
 """
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from jcas.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
 DIAG_CASES = [(scene, window) for scene in ("fig4", "fig5")
               for window in ("rect", "hamming", "adaptive")]
 
@@ -91,3 +95,15 @@ def test_noisy_dense_grid_matches_golden(tmp_path):
     assert main(["simulate", "--scene", str(scene), "--estimator", "grid2d",
                  "--snr-db", "20", "--seed", "3", "--out", str(out)]) == 0
     _assert_matches_golden(out, GOLDEN / "highway6_grid2d_snr20")
+
+
+def test_single_target_profiles_match_golden(tmp_path, monkeypatch):
+    # The figure script's profiles go through process_frame and
+    # write_image_csvs, not simulate; run its function with out/ in tmp_path.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.single_target_profile()
+    _assert_matches_golden(tmp_path / "single_target", GOLDEN / "single_target")

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -65,6 +66,15 @@ def test_negative_time_rejected():
 
 
 _CAR = VehicleSpec("A", 10.0, 5.0, 3.16)
+
+
+def test_negative_zero_time_is_stored_as_zero():
+    # A -0.0 time would name its files image_-0.csv; every other time is kept.
+    scene = Scene((_CAR,), (-0.0, 1e-300, 0.2))
+    assert scene.measurement_times_s == (0.0, 1e-300, 0.2)
+    assert math.copysign(1.0, scene.measurement_times_s[0]) == 1.0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Scene((_CAR,), (-0.0, 0.0))
 
 
 @pytest.mark.parametrize("build", [
