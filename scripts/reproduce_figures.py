@@ -27,7 +27,7 @@ def single_target_profile() -> None:
     out = OUT / "single_target"
     out.mkdir(parents=True, exist_ok=True)
     write_image_csvs([(out / f"profile_{kind.value}.csv", img)
-                      for kind, img in process_frame(d, tuple(WindowKind)).images.items()])
+                      for kind, img in process_frame(d, tuple(WindowKind))[0].images.items()])
     print(f"wrote {out}/profile_*.csv")
 
 

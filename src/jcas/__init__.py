@@ -13,7 +13,7 @@ from .config import (OfdmConfig, SensingCapabilities, Target, bin_range, bin_vel
                      capabilities, doppler_bin, overhead, range_bin, sensing_positions,
                      tone_pair_bins, wrap_reason)
 from .diag_estimator import (Peak, PeakPair, RadarImage, WindowKind, apply_window,
-                             candidates, detect_peaks_1d, diag_spectrum, pair_peaks, psl)
+                             candidates, detect_peaks_1d, diag_spectrum, pair_peaks)
 from .grid_estimator import GridDetection, bins_to_estimate, detect_peaks_2d, range_doppler_map
 from .scenario import Scene, SceneFile, VehicleSpec, builtin_scene, load_scene, targets_at
 from .tracking import Track, TrackTable, resolve_ambiguity

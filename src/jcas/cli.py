@@ -8,12 +8,13 @@ Subcommands::
     jcas capabilities [--scene <name|file>] [--alloc-csv DIR]
     jcas bench        [--n SIZE ...] [--csv FILE]
 
-Every number is written as "%.6g" renders it: "%" templates for file names, printed
-figures and the small CSVs, and for the radar images and range-Doppler maps one numpy
-kernel, _g6_text, whose text equals "%.6g" byte for byte. run_scene runs diagonal frames
-a block at a time. simulate writes each rdmap_<t>.csv as its frame comes, and the
-image_<t>.csv files after the frame loop, all in one _g6_text call unless they pass
-_IMAGE_FLUSH_CELLS cells. Identical configuration and seed give byte-identical files.
+Every real number is written as "%.6g" renders it, every integer as plain decimal:
+"%" templates for file names, printed figures and the small CSVs, and for the radar
+images and range-Doppler maps one numpy kernel, _g6_text, whose text equals "%.6g" byte
+for byte. run_scene runs diagonal frames a block at a time. simulate writes each
+rdmap_<t>.csv as its frame comes, and the image_<t>.csv files after the frame loop, all
+in one _g6_text call unless they pass _IMAGE_FLUSH_CELLS cells. Identical configuration
+and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -311,9 +312,9 @@ def cmd_capabilities(args: argparse.Namespace) -> int:
         for diagonal in (False, True) if square else (False,):
             positions = sensing_positions(cfg, diagonal)
             with open(out / f"allocation_{'diagonal' if diagonal else 'grid'}.csv", "w") as f:
-                f.write("m,n\n")  # then 4096 rows at a time: never all N_f*N_t as text
-                for s in range(0, len(positions), 4096):
-                    f.write("".join(f"{m},{n}\n" for m, n in positions[s:s + 4096]))
+                f.write("m,n\n")  # then 4096 rows at a time: never all N_f*N_t positions
+                while rows := "".join(f"{m},{n}\n" for m, n in itertools.islice(positions, 4096)):
+                    f.write(rows)
     width = max(len(name) for name, _ in lines)
     for name, value in lines:
         print(f"{name:<{width}}  {value}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s; round value, configurable per config instance
@@ -98,11 +99,6 @@ class OfdmConfig:
         )
 
     @property
-    def bandwidth(self) -> float:
-        """Total occupied bandwidth [Hz] = N_c * subcarrier spacing."""
-        return self.n_subcarriers * self.subcarrier_spacing
-
-    @property
     def useful_symbol_duration(self) -> float:
         """Cyclic-prefix-free symbol duration [s] = 1/subcarrier spacing."""
         return 1.0 / self.subcarrier_spacing
@@ -181,19 +177,20 @@ def tone_pair_bins(cfg: OfdmConfig, range_m: float,
     return abs(l_r - l_d), l_r + l_d
 
 
-def sensing_positions(cfg: OfdmConfig, diagonal: bool) -> list[tuple[int, int]]:
-    """(subcarrier, symbol) positions of the sensing signals.
+def sensing_positions(cfg: OfdmConfig, diagonal: bool) -> Iterator[tuple[int, int]]:
+    """(subcarrier, symbol) positions of the sensing signals, made one at a time.
 
     The grid comb's are row-major over (frequency step, time step); the
     diagonal's are (k*L_f, k*L_t), ascending. Index pairs, not a dense mask:
-    the diagonal holds only N cells of the N_c x N_sym block.
+    the diagonal holds only N cells of the N_c x N_sym block. A non-square
+    comb's diagonal is refused at the call, not at the first position.
     """
     l_f, l_t = cfg.freq_comb_spacing, cfg.time_comb_spacing
     if diagonal:
         cfg.validate_diagonal()
-        return [(k * l_f, k * l_t) for k in range(cfg.n_diag)]
-    return [(i * l_f, j * l_t) for i in range(cfg.n_sensing_freq)
-            for j in range(cfg.n_sensing_time)]
+        return ((k * l_f, k * l_t) for k in range(cfg.n_diag))
+    return ((i * l_f, j * l_t) for i in range(cfg.n_sensing_freq)
+            for j in range(cfg.n_sensing_time))
 
 
 def overhead(cfg: OfdmConfig, diagonal: bool) -> float:

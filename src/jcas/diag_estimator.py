@@ -44,12 +44,6 @@ WINDOW_MODES = {
     "hamming": (WindowKind.HAMMING,),
     "adaptive": (WindowKind.RECTANGULAR, WindowKind.HAMMING),
 }
-# Rectangular mainlobe spans +-1 bin, Hamming +-2; halfwidths add one bin of
-# straddle margin when measuring sidelobe levels.
-MAINLOBE_HALFWIDTH = {
-    WindowKind.RECTANGULAR: 2,
-    WindowKind.HAMMING: 4,
-}
 
 
 class Peak(NamedTuple):
@@ -130,20 +124,17 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
     return images if spectrum.ndim > 1 else images[0]
 
 
-def thin_peaks(peaks: Iterable[Peak], n: int,
-               min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
+def thin_peaks(peaks: Iterable[Peak], n: int) -> list[Peak]:
     """Greedy strongest-first thinning over n circular bins.
 
-    Bins must be integer-valued. A peak closer than min_separation bins to an
-    already kept, stronger peak is dropped; equal magnitudes keep their input
-    order. Result is sorted by magnitude descending.
+    Bins must be integer-valued. A peak closer than DEFAULT_MIN_SEPARATION bins
+    to an already kept, stronger peak is dropped; equal magnitudes keep their
+    input order. Result is sorted by magnitude descending.
     """
-    if min_separation < 1:
-        raise ValueError("min_separation must be >= 1")
     # A bytearray set by a plain loop: a numpy fancy-index per kept peak
     # costs more than the few bins it marks.
     occupied = bytearray(n)
-    reach = range(1 - min_separation, min_separation)
+    reach = range(1 - DEFAULT_MIN_SEPARATION, DEFAULT_MIN_SEPARATION)
     kept: list[Peak] = []
     for p in sorted(peaks, key=lambda p: -p.magnitude_db):
         b = int(p.bin)
@@ -156,28 +147,26 @@ def thin_peaks(peaks: Iterable[Peak], n: int,
     return kept
 
 
-def detect_peaks_1d(img: RadarImage, threshold_db: float,
-                    min_separation: int = DEFAULT_MIN_SEPARATION) -> list[Peak]:
-    """Local maxima above threshold, thinned to the given separation.
+def detect_peaks_1d(img: RadarImage, threshold_db: float) -> list[Peak]:
+    """Local maxima above threshold (a guard of 1 bin), thinned by thin_peaks.
 
-    Bins are circular. Thinning is greedy strongest-first (thin_peaks): a
-    weaker local maximum closer than min_separation bins to an already kept
-    peak is dropped. Result is sorted by magnitude descending.
+    Bins are circular. Thinning is greedy strongest-first: a weaker local
+    maximum closer than DEFAULT_MIN_SEPARATION bins to an already kept peak is
+    dropped. Result is sorted by magnitude descending.
     """
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
     db = img.magnitude_db
     found = circular_maxima(db, threshold_db, 1)
-    return thin_peaks(map(Peak, found.tolist(), db[found].tolist()),
-                      len(db), min_separation)
+    return thin_peaks(map(Peak, found.tolist(), db[found].tolist()), len(db))
 
 
-def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]
-                  ) -> DiagFrame | list[DiagFrame]:
-    """Window and transform a frame or a block once per window, then detect and pair
-    each frame: a frame's DiagFrame, or a block's in row order. Each window's image is
-    thresholded at its DEFAULT_THRESHOLD_DB floor. The union of a frame's detections is
-    thinned strongest-first (an earlier window wins a tie) and paired with pair_peaks.
+def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> list[DiagFrame]:
+    """Window and transform a block of frames once per window, then detect and pair
+    each frame: the DiagFrames in row order (a 1-D frame is a block of one). Each
+    window's image is thresholded at its DEFAULT_THRESHOLD_DB floor. The union of a
+    frame's detections is thinned strongest-first (an earlier window wins a tie) and
+    paired with pair_peaks.
     """
     block = d if d.values.ndim > 1 else DiagonalVector(d.values[np.newaxis])
     spectra = {kind: diag_spectrum(apply_window(block, kind)) for kind in windows}
@@ -187,32 +176,7 @@ def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]
                             for p in detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind])],
                            d.values.shape[-1])
         frames.append(DiagFrame(images, peaks, *pair_peaks(peaks)))
-    return frames if d.values.ndim > 1 else frames[0]
-
-
-def psl(img: RadarImage, mainlobe_halfwidth: int = 4,
-        peak_threshold_db: float = -6.0) -> float:
-    """Peak-to-sidelobe level of a radar image, in dB (negative).
-
-    Mainlobes are the bins within mainlobe_halfwidth of the global maximum and
-    of every local maximum stronger than peak_threshold_db (all near-equal
-    target peaks count, weak sidelobe maxima do not). Returns the strongest
-    magnitude outside those windows relative to the global peak.
-    """
-    if mainlobe_halfwidth < 1:
-        raise ValueError("mainlobe_halfwidth must be >= 1")
-    db = img.magnitude_db
-    n = len(db)
-    if np.count_nonzero(db == db.max()) != 1:
-        raise ValueError("image must have a unique global maximum")
-    peaks = np.append(circular_maxima(db, peak_threshold_db, 1), np.argmax(db))
-    lobe = np.arange(-mainlobe_halfwidth, mainlobe_halfwidth + 1)
-    mask = np.zeros(n, dtype=bool)
-    mask[(peaks[:, None] + lobe) % n] = True
-    outside = db[~mask]
-    if outside.size == 0:
-        raise ValueError("mainlobe windows cover the whole image")
-    return float(outside.max())
+    return frames
 
 
 def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0

@@ -94,8 +94,8 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
 
 
 def detect_peaks_2d(rd_map: RadarImage, threshold_db: float,
-                    cfg: OfdmConfig, guard: int = 2) -> list[GridDetection]:
-    """Cells above threshold that strictly dominate their guard neighborhood.
+                    cfg: OfdmConfig) -> list[GridDetection]:
+    """Cells above threshold that strictly dominate their guard neighborhood of 2 cells.
 
     Neighborhoods wrap around (DFT bins are circular). Detections are sorted
     by magnitude, strongest first, with range/velocity read by
@@ -103,10 +103,8 @@ def detect_peaks_2d(rd_map: RadarImage, threshold_db: float,
     """
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
-    if guard < 1:
-        raise ValueError("guard must be >= 1")
     db = rd_map.magnitude_db
-    rows, cols = np.unravel_index(circular_maxima(db, threshold_db, guard), db.shape)
+    rows, cols = np.unravel_index(circular_maxima(db, threshold_db, 2), db.shape)
     found = [GridDetection(p, q, float(db[p, q]), *bins_to_estimate(cfg, p, q))
              for p, q in zip(rows.tolist(), cols.tolist())]
     return sorted(found, key=lambda d: -d.magnitude_db)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from jcas.config import OfdmConfig, doppler_bin, range_bin, tone_pair_bins
-from jcas.diag_estimator import PeakPair, RadarImage, candidates
+from jcas.diag_estimator import PeakPair, RadarImage, WindowKind, candidates
 from jcas.grid_estimator import to_normalized_db
 from jcas.tracking import DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS
 
@@ -178,6 +178,36 @@ def thin_pairwise(peaks: list, n: int, min_separation: int) -> list:
         if all(circular_distance(p.bin, q.bin, n) >= min_separation for q in kept):
             kept.append(p)
     return kept
+
+
+# Rectangular mainlobe spans +-1 bin, Hamming +-2; halfwidths add one bin of
+# straddle margin when measuring sidelobe levels.
+MAINLOBE_HALFWIDTH = {
+    WindowKind.RECTANGULAR: 2,
+    WindowKind.HAMMING: 4,
+}
+
+
+def psl(img: RadarImage, mainlobe_halfwidth: int = 4) -> float:
+    """Peak-to-sidelobe level of a radar image, in dB (negative).
+
+    Mainlobes are the bins within mainlobe_halfwidth of every local maximum
+    stronger than -6 dB, the unique global maximum among them (all near-equal
+    target peaks count, weak sidelobe maxima do not). Returns the strongest
+    magnitude outside those windows relative to the global peak.
+    """
+    db = img.magnitude_db
+    n = len(db)
+    if np.count_nonzero(db == db.max()) != 1:
+        raise ValueError("image must have a unique global maximum")
+    peaks = np.array(local_maxima_1d(db, -6.0))
+    lobe = np.arange(-mainlobe_halfwidth, mainlobe_halfwidth + 1)
+    mask = np.zeros(n, dtype=bool)
+    mask[(peaks[:, None] + lobe) % n] = True
+    outside = db[~mask]
+    if outside.size == 0:
+        raise ValueError("mainlobe windows cover the whole image")
+    return float(outside.max())
 
 
 def local_maxima_2d(db, threshold_db: float, guard: int) -> list[tuple[int, int]]:

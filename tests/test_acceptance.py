@@ -17,15 +17,14 @@ from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
                           synthesize_grid, target_amplitudes)
 from jcas.cli import count_ops, run_scene
 from jcas.config import OfdmConfig, Target, capabilities, overhead, tone_pair_bins
-from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
-                                 RadarImage, WindowKind, apply_window,
-                                 candidates, detect_peaks_1d, diag_spectrum,
-                                 pair_peaks, psl, window_coefficients)
+from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, Peak, RadarImage, WindowKind,
+                                 apply_window, candidates, detect_peaks_1d,
+                                 diag_spectrum, pair_peaks, window_coefficients)
 from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
 from jcas.transforms import dft, idft
-from oracles import brute_2d, brute_dft, power_ratio_db
+from oracles import MAINLOBE_HALFWIDTH, brute_2d, brute_dft, power_ratio_db, psl
 
 CFG = OfdmConfig.table1()
 BUDGET = LinkBudget()

@@ -4,7 +4,7 @@ from jcas.config import OfdmConfig, overhead, sensing_positions
 
 
 def test_grid_allocation_table1(table1):
-    entries = sensing_positions(table1, diagonal=False)
+    entries = list(sensing_positions(table1, diagonal=False))
     assert len(entries) == 480 * 480
     assert entries[0] == (0, 0)
     # next frequency step sits seven subcarriers up
@@ -13,7 +13,7 @@ def test_grid_allocation_table1(table1):
 
 
 def test_diagonal_allocation_table1(table1):
-    entries = sensing_positions(table1, diagonal=True)
+    entries = list(sensing_positions(table1, diagonal=True))
     assert len(entries) == 480
     assert entries[2] == (14, 14)
     ms = [m for m, _ in entries]
@@ -23,10 +23,22 @@ def test_diagonal_allocation_table1(table1):
 
 
 def test_diagonal_projections_match_grid_axes(table1):
-    grid = sensing_positions(table1, diagonal=False)
-    diag = sensing_positions(table1, diagonal=True)
+    grid = list(sensing_positions(table1, diagonal=False))
+    diag = list(sensing_positions(table1, diagonal=True))
     assert {m for m, _ in diag} == {m for m, _ in grid}
     assert {n for _, n in diag} == {n for _, n in grid}
+
+
+def test_positions_are_made_one_at_a_time():
+    # A dense 3360x3360 comb has 11.3 M positions; none exists before it is asked for.
+    cfg = OfdmConfig(carrier_freq=28e9, subcarrier_spacing=120e3,
+                     n_subcarriers=3360, n_symbols=3360,
+                     n_sensing_freq=3360, n_sensing_time=3360)
+    for diagonal in (False, True):
+        positions = sensing_positions(cfg, diagonal)
+        assert not isinstance(positions, list)
+        assert next(positions) == (0, 0)
+        assert next(positions) == ((1, 1) if diagonal else (0, 1))
 
 
 def test_overhead_table1(table1):

@@ -852,7 +852,7 @@ def test_run_scene_skips_empty_frames_and_seeds_by_time_index(monkeypatch, table
     assert [frame.t for frame in frames] == [0.0, 0.4]
     targets = real(scene, 0.4)
     amps = target_amplitudes(table1, LinkBudget(), targets, 7, 2)
-    expected = process_frame(synthesize_diag(table1, targets, amps), windows)
+    expected = process_frame(synthesize_diag(table1, targets, amps), windows)[0]
     got = frames[1].diag.images[WindowKind.HAMMING].magnitude_db
     assert np.array_equal(got, expected.images[WindowKind.HAMMING].magnitude_db)
     assert frames[1].diag.pairs == expected.pairs

@@ -9,7 +9,7 @@ from oracles import expected_doppler_bin, expected_range_bin
 
 
 def test_table1_derived_quantities(table1):
-    assert table1.bandwidth == pytest.approx(403.2e6)
+    assert table1.n_subcarriers * table1.subcarrier_spacing == pytest.approx(403.2e6)
     assert table1.freq_comb_spacing == 7
     assert table1.time_comb_spacing == 7
     assert table1.useful_symbol_duration == pytest.approx(1 / 120e3)

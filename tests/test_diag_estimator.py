@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import DiagonalVector, synthesize_diag
 from jcas.config import Target, capabilities, tone_pair_bins
-from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, MAINLOBE_HALFWIDTH, Peak,
+from jcas.diag_estimator import (DEFAULT_MIN_SEPARATION, DEFAULT_THRESHOLD_DB, Peak,
                                  PeakPair, WindowKind, apply_window, candidates,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
-                                 RadarImage, psl, thin_peaks,
-                                 window_coefficients)
-from oracles import frame_image, local_maxima_1d, single_tone_diag, thin_pairwise
+                                 RadarImage, thin_peaks, window_coefficients)
+from jcas.grid_estimator import circular_maxima
+from oracles import (MAINLOBE_HALFWIDTH, frame_image, local_maxima_1d, psl,
+                     single_tone_diag, thin_pairwise)
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
 
@@ -76,7 +77,7 @@ class TestSpectrum:
         # golden value on the naive transform path
         d = synthesize_diag(table1, [FIG3_TARGET], np.array([1.0]))
         img = diag_spectrum(d, method="naive")
-        peaks = detect_peaks_1d(img, threshold_db=-30.0, min_separation=3)
+        peaks = detect_peaks_1d(img, threshold_db=-30.0)
         assert sorted(p.bin for p in peaks) == [81, 134]
 
     def test_constant_vector_is_dc(self):
@@ -149,20 +150,17 @@ class TestSpectrum:
 
 
 class TestDetect:
-    def test_threshold_and_separation_validation(self):
+    def test_threshold_validation(self):
         img = diag_spectrum(_tone(480, 100))
         with pytest.raises(ValueError):
             detect_peaks_1d(img, threshold_db=0.5)
-        with pytest.raises(ValueError):
-            detect_peaks_1d(img, threshold_db=-10.0, min_separation=0)
 
     def test_thinning_keeps_stronger(self):
         db = np.full(64, -60.0)
         db[10] = 0.0
         db[11] = -1.0
         db[30] = -2.0
-        peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0,
-                                min_separation=3)
+        peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0)
         assert [p.bin for p in peaks] == [10, 30]
 
     def test_thinning_ties_keep_input_order_across_wrap(self):
@@ -176,31 +174,33 @@ class TestDetect:
     def test_matches_loop_oracle_with_ties(self, n):
         # Quarter-dB levels make equal neighbours common; an equal neighbour
         # stops a bin being a maximum. A lone bin (n = 1) has no neighbour.
+        # The unthinned maxima are circular_maxima's at a guard of 1 bin.
         rng = np.random.default_rng(n)
         for _ in range(25):
             db = rng.integers(-160, 1, size=n) * 0.25
             for threshold in (-10.0, -25.0, -40.0):
-                for sep in (1, 3):
-                    got = detect_peaks_1d(RadarImage(db, 0.0), threshold, sep)
-                    want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i]))
-                                          for i in local_maxima_1d(db, threshold)],
-                                         n, sep)
-                    assert got == want
-                    assert all(type(p.bin) is int for p in got)
+                maxima = local_maxima_1d(db, threshold)
+                assert circular_maxima(db, threshold, 1).tolist() == maxima
+                got = detect_peaks_1d(RadarImage(db, 0.0), threshold)
+                want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i])) for i in maxima],
+                                     n, DEFAULT_MIN_SEPARATION)
+                assert got == want
+                assert all(type(p.bin) is int for p in got)
 
-    @pytest.mark.parametrize("sep", [1, 2, 3, 4, 5])
-    def test_thinning_matches_pairwise_oracle(self, sep):
+    @pytest.mark.parametrize("draw", [1, 2, 3, 4, 5])
+    def test_thinning_matches_pairwise_oracle(self, draw):
         # Few bins and quarter-dB magnitudes: repeated bins, ties across the
-        # wrap, and separations that cover most of the circle.
-        rng = np.random.default_rng(100 + sep)
+        # wrap, and a separation that covers most of a short circle. Five
+        # seeded draws of 40 peak sets per circle.
+        rng = np.random.default_rng(100 + draw)
         for n in (1, 2, 5, 9, 16, 480):
             for _ in range(40):
                 size = int(rng.integers(0, 3 * min(n, 10) + 1))
                 peaks = [Peak(bin=int(b), magnitude_db=float(m) * 0.25)
                          for b, m in zip(rng.integers(0, n, size=size),
                                          rng.integers(-8, 1, size=size))]
-                got = thin_peaks(peaks, n, sep)
-                want = thin_pairwise(peaks, n, sep)
+                got = thin_peaks(peaks, n)
+                want = thin_pairwise(peaks, n, DEFAULT_MIN_SEPARATION)
                 assert len(got) == len(want)
                 assert all(a is b for a, b in zip(got, want))
 
@@ -284,16 +284,17 @@ class TestPeakResolution:
     @pytest.mark.parametrize("offset", [0.0, 0.3, 0.5])
     def test_rect_resolves_three_bins_and_up(self, sep, offset):
         img = self._two_tone_image(sep, WindowKind.RECTANGULAR, offset)
-        peaks = detect_peaks_1d(img, threshold_db=-20.0, min_separation=3)
+        peaks = detect_peaks_1d(img, threshold_db=-20.0)
         assert len(peaks) == 2
 
     def test_hamming_merges_a_rect_resolvable_case(self):
         # worst-case straddle two bins apart: narrow rectangular mainlobes
-        # keep two maxima, the wider Hamming mainlobe fuses them
+        # keep two maxima, the wider Hamming mainlobe fuses them (local
+        # maxima before thinning, which would merge the rectangular pair)
         rect = self._two_tone_image(2.0, WindowKind.RECTANGULAR, offset=0.5)
         ham = self._two_tone_image(2.0, WindowKind.HAMMING, offset=0.5)
-        n_rect = len(detect_peaks_1d(rect, threshold_db=-20.0, min_separation=2))
-        n_ham = len(detect_peaks_1d(ham, threshold_db=-20.0, min_separation=2))
+        n_rect = len(circular_maxima(rect.magnitude_db, -20.0, 1))
+        n_ham = len(circular_maxima(ham.magnitude_db, -20.0, 1))
         assert n_rect == 2
         assert n_ham == 1
 

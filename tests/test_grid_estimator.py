@@ -122,7 +122,7 @@ def test_equal_targets_with_matched_bin_offsets(table1):
     c = synthesize_grid(table1, [Target(r1, v1, 1.0), Target(r2, v2, 1.0)],
                         np.array([1.0, 1.0]))
     rd = range_doppler_map(c)
-    dets = detect_peaks_2d(rd, threshold_db=-20.0, guard=2, cfg=table1)
+    dets = detect_peaks_2d(rd, threshold_db=-20.0, cfg=table1)
     assert len(dets) == 2
     assert abs(dets[0].magnitude_db - dets[1].magnitude_db) < 0.5
 
@@ -135,7 +135,7 @@ def test_32db_gap_preserved(table1):
     c = synthesize_grid(table1, [Target(r1, v1, 1.0), Target(r2, v2, 1.0)],
                         np.array([1.0, gap]))
     rd = range_doppler_map(c)
-    dets = detect_peaks_2d(rd, threshold_db=-40.0, guard=2, cfg=table1)
+    dets = detect_peaks_2d(rd, threshold_db=-40.0, cfg=table1)
     strong = max(dets, key=lambda d: d.magnitude_db)
     weak = [d for d in dets if abs(d.range_bin - strong.range_bin) > 5][0]
     assert strong.magnitude_db - weak.magnitude_db == pytest.approx(32.0, abs=0.5)
@@ -145,7 +145,7 @@ def test_single_target_exactly_one_detection(table1):
     # the 2-D skirt is a separable product of monotone 1-D skirts, so a lone
     # target yields exactly one local maximum at any threshold
     c = synthesize_grid(table1, [Target(40.0, 5.0, 1.0)], np.array([1.0]))
-    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-40.0, cfg=table1, guard=2)
+    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-40.0, cfg=table1)
     assert len(dets) == 1
     assert (dets[0].range_bin, dets[0].doppler_bin) == (108, 26)
 
@@ -154,7 +154,7 @@ def test_masked_weak_target_suppressed_by_threshold(table1):
     gap = 10 ** (-32 / 20)
     c = synthesize_grid(table1, [Target(20.0, 5.0, 1.0), Target(60.0, 25.0, 1.0)],
                         np.array([1.0, gap]))
-    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-20.0, cfg=table1, guard=2)
+    dets = detect_peaks_2d(range_doppler_map(c), threshold_db=-20.0, cfg=table1)
     assert len(dets) == 1
 
 
@@ -177,14 +177,14 @@ def _oracle_detections(db, threshold_db, guard, cfg):
 def test_detect_matches_loop_oracle_with_ties(small_cfg, shape, guard):
     # Quarter-dB levels tie often. On an axis of at most guard bins the
     # wrapped neighbourhood reaches the cell itself, and that offset is
-    # skipped.
+    # skipped. detect_peaks_2d's guard is 2 cells.
     rng = np.random.default_rng(10 * shape[0] + shape[1] + guard)
     for _ in range(20):
         db = rng.integers(-240, 1, size=shape) * 0.25
         for threshold in (-10.0, -20.0, -30.0, -40.0, -50.0, -60.0):
-            want = _oracle_detections(db, threshold, guard, small_cfg)
-            assert detect_peaks_2d(RadarImage(db, 0.0), threshold,
-                                   cfg=small_cfg, guard=guard) == want
+            if guard == 2:
+                want = _oracle_detections(db, threshold, guard, small_cfg)
+                assert detect_peaks_2d(RadarImage(db, 0.0), threshold, cfg=small_cfg) == want
             assert circular_maxima(db, threshold, guard).tolist() == [
                 p * shape[1] + q for p, q in local_maxima_2d(db, threshold, guard)]
 
@@ -214,8 +214,6 @@ def test_detect_rejects_bad_arguments(small_cfg):
     rd = range_doppler_map(SymbolMatrix(np.ones((48, 48), dtype=complex)))
     with pytest.raises(ValueError):
         detect_peaks_2d(rd, threshold_db=1.0, cfg=small_cfg)
-    with pytest.raises(ValueError):
-        detect_peaks_2d(rd, threshold_db=-10.0, cfg=small_cfg, guard=0)
 
 
 def test_bins_to_estimate_values(table1):
