@@ -21,6 +21,9 @@ import numpy as np
 from .config import (OfdmConfig, Target, doppler_bin, finite_number, range_bin,
                      seed_number, tone_pair_bins)
 
+# Samples per noise draw: a frame's noise passes through one buffer of this many floats.
+_NOISE_CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -143,20 +146,27 @@ def _check_synth_inputs(targets: list[Target], amps: np.ndarray) -> np.ndarray:
 def _add_noise_in_place(values: np.ndarray, noise: NoiseSpec,
                         reference_amplitude: float) -> None:
     """Add noise at noise.snr_db against reference_amplitude, drawn from
-    noise.rng_seed, into values (complex128, writable).
+    noise.rng_seed, into values (complex128, C-contiguous, writable).
 
-    One float buffer takes both draws in turn: the first is scaled into the
-    real parts, the second into the imaginary parts. These are the same
-    float operations as values + scale * (a + 1j * b), so the result is
-    bit-identical to it.
+    The draws pass through one float buffer of at most _NOISE_CHUNK samples,
+    so the noise adds no frame-sized array: the real parts take the first
+    values.size draws, chunk by chunk in order, then the imaginary parts take
+    the next values.size. Each chunk is scaled in place and added. One
+    generator stream yields the same draws in chunks as in one call, and
+    these are the same float operations as values + scale * (a + 1j * b),
+    so the result is bit-identical to it.
     """
     variance = reference_amplitude ** 2 / 10.0 ** (noise.snr_db / 10.0)
     rng = np.random.default_rng(noise.rng_seed)
     scale = np.sqrt(variance / 2.0)
-    w = np.empty(values.shape)
-    for part in (values.real, values.imag):
-        rng.standard_normal(out=w)
-        part += np.multiply(w, scale, out=w)
+    flat = values.reshape(-1)
+    w = np.empty(min(flat.size, _NOISE_CHUNK))
+    for part in (flat.real, flat.imag):
+        for start in range(0, part.size, _NOISE_CHUNK):
+            target = part[start:start + _NOISE_CHUNK]
+            draw = w[:target.size]
+            rng.standard_normal(out=draw)
+            target += np.multiply(draw, scale, out=draw)
 
 
 def synthesize_grid(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,

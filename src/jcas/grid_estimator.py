@@ -78,19 +78,42 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
 
     The Doppler DFT carries no scale; the range IDFT carries 1/N_f. With
     this convention total map energy equals (N_t/N_f) times input energy.
-    The fast method overwrites c.values with the spectrum in place when it
-    is a writable complex128 array, so a grid frame needs one complex
-    buffer; any other values are copied first. The naive method never
-    writes c.values.
+    The fast method consumes c.values when it is a writable C-contiguous
+    complex128 array, so a grid frame needs one complex buffer: the spectrum
+    overwrites it, and the dB map is packed into its first N_f*N_t floats.
+    The returned map is then a view that keeps the whole buffer alive. Any
+    other values are copied first. The naive method never writes c.values.
     """
     if method == "fast":
-        values = np.require(c.values, complex, "W")
+        values = np.require(c.values, complex, ("C", "W"))
         transforms.dft(values, axis=1, counter=counter, out=values)
-        spectrum = transforms.idft(values, axis=0, counter=counter, out=values)
+        transforms.idft(values, axis=0, counter=counter, out=values)
+        mag = _pack_magnitude(values)
     else:
         spectrum = transforms.dft(c.values, axis=1, method=method, counter=counter)
-        spectrum = transforms.idft(spectrum, axis=0, method=method, counter=counter)
-    return RadarImage(*to_normalized_db(np.abs(spectrum)))
+        mag = np.abs(transforms.idft(spectrum, axis=0, method=method, counter=counter))
+    return RadarImage(*to_normalized_db(mag))
+
+
+def _pack_magnitude(values: np.ndarray) -> np.ndarray:
+    """|values| written over the first half of values' own C-contiguous buffer,
+    returned as a contiguous float view of values' shape.
+
+    Row r's magnitudes go to the floats where complex row r/2 was. Rows pass
+    in blocks [1, 2), [2, 4), [4, 8), ...; a block [a, b) with b <= 2a writes
+    below its own input, over rows that earlier blocks already read, so no
+    block's input overlaps its output. Row 0 does overlap its own output, and
+    numpy would copy it and take another loop whose last bits differ, so it
+    goes through a one-row temporary.
+    """
+    mag = values.view(np.float64).reshape(-1)[:values.size].reshape(values.shape)
+    mag[0] = np.abs(values[0])
+    start = 1
+    while start < len(values):
+        stop = min(2 * start, len(values))
+        np.abs(values[start:stop], out=mag[start:stop])
+        start = stop
+    return mag
 
 
 def detect_peaks_2d(rd_map: RadarImage, threshold_db: float,

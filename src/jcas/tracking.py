@@ -143,7 +143,11 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
             cfg, rows[:, _RANGE] + velocity * (t - rows[:, _LAST_T, None]), velocity)
         # L1 bin distance of every (track, branch) to every pair; argmin
         # keeps the first nearest. A dead branch stays dead: inf + d is inf.
-        dists = np.abs(lo[..., None] - obs[:, 0]) + np.abs(hi[..., None] - obs[:, 1])
+        # The table grows every frame, so each (track, branch, pair) array is
+        # a fresh mapping to fault in; two of them take every step in place.
+        dists = np.subtract(lo[..., None], obs[:, 0])
+        hi_dists = np.subtract(hi[..., None], obs[:, 1])
+        dists = np.add(np.abs(dists, out=dists), np.abs(hi_dists, out=hi_dists), out=dists)
         nearest, dist = dists.argmin(axis=2), dists.min(axis=2)
         scores += dist
         # The lower score's branch (argmin keeps a on a tie); the best branch

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcas.channel import (DiagonalVector, LinkBudget, NoiseSpec, rx_power, synthesize_diag,
-                          synthesize_grid, target_amplitudes)
+from jcas.channel import (_NOISE_CHUNK, DiagonalVector, LinkBudget, NoiseSpec,
+                          _add_noise_in_place, rx_power, synthesize_diag, synthesize_grid,
+                          target_amplitudes)
 from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
                          tone_pair_bins)
 from oracles import (awgn_expression, expected_doppler_bin, expected_range_bin,
@@ -159,6 +161,22 @@ class TestSynthesizeGrid:
     def test_amp_length_mismatch_rejected(self, table1):
         with pytest.raises(ValueError):
             synthesize_grid(table1, [Target(5.0, 1.0, 1.0)], np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("size", [_NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1,
+                                  2 * _NOISE_CHUNK + 1])
+@pytest.mark.parametrize("two_d", [False, True])
+def test_chunked_noise_is_the_out_of_place_sum(size, two_d):
+    # The draws pass through a chunk-sized buffer, real parts first; around
+    # the chunk edges they must still give the bits of the one-call sum.
+    rows = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0) if two_d else 1
+    shape = (rows, size // rows) if two_d else (size,)
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = NoiseSpec(snr_db=-3.0, rng_seed=size)
+    want = awgn_expression(values, noise, 0.7)
+    _add_noise_in_place(values, noise, 0.7)
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 class TestSynthesizeDiag:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jcas.channel import SymbolMatrix, synthesize_grid
+from jcas.channel import NoiseSpec, SymbolMatrix, synthesize_grid
 from jcas.config import Target, capabilities, doppler_bin, range_bin
 from jcas.transforms import MultiplyCounter
 from jcas.grid_estimator import (GridDetection, RadarImage, bins_to_estimate,
@@ -46,8 +48,42 @@ def test_fast_map_overwrites_complex_values_with_spectrum(shape):
     c = SymbolMatrix(x.copy())
     rd = range_doppler_map(c, method="fast")
     assert rd.magnitude_db.tobytes() == out_of_place_map(x).tobytes()
-    # the frame's one buffer now holds the spectrum
-    assert np.array_equal(c.values, np.fft.ifft(np.fft.fft(x, axis=1), axis=0))
+    # the map is packed into the frame's one buffer, over its first N_f*N_t floats
+    assert np.shares_memory(rd.magnitude_db, c.values)
+    assert rd.magnitude_db.tobytes() == c.values.view(np.float64).ravel()[:x.size].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0)
+@example(1, 33, 1)
+@example(33, 1, 2)
+@example(2, 2, 3)
+@example(3, 127, 4)
+@example(129, 5, 5)
+def test_fast_map_packed_in_place_is_the_out_of_place_map(n_f, n_t, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_f, n_t)) + 1j * rng.standard_normal((n_f, n_t))
+    rd = range_doppler_map(SymbolMatrix(x.copy()), method="fast")
+    assert rd.magnitude_db.flags.c_contiguous
+    assert rd.magnitude_db.tobytes() == out_of_place_map(x).tobytes()
+
+
+def test_noisy_table1_frame_holds_one_frame_sized_array(table1):
+    # Synthesis and map share the product's complex buffer; the noise chunk,
+    # the ramps and the FFT's working rows stay under 1 MiB beside it.
+    rng = np.random.default_rng(23)
+    targets = [Target(r, v, 1.0) for r, v in zip(rng.uniform(1.0, 170.0, 16),
+                                                  rng.uniform(-60.0, 60.0, 16))]
+    amps = rng.uniform(0.1, 1.0, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+    noise = NoiseSpec(snr_db=20.0, rng_seed=3)
+    tracemalloc.start()
+    try:
+        range_doppler_map(synthesize_grid(table1, targets, amps, noise=noise))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * table1.n_sensing_freq * table1.n_sensing_time + 2 ** 20, peak
 
 
 @pytest.mark.parametrize("shape", [(7, 12), (1, 9)])
