@@ -199,16 +199,28 @@ def synthesize_diag(cfg: OfdmConfig, targets: list[Target], amps: np.ndarray,
     """Normalized diagonal-comb observation of the given targets.
 
     Each target contributes the sum-and-difference tone pair at its
-    tone_pair_bins, amp/2 each: the dual-peak radar image.
+    tone_pair_bins, amp/2 each: the dual-peak radar image. A tone at bin b
+    is exp(2j*pi*b*k/N); it is built as cos(theta) + i*sin(theta) with
+    theta = 2*pi*b * k * (1/N) in float64, which is the same value bit for
+    bit: the complex product's real parts are +-0, numpy divides a complex
+    by the real N as a product with 1/N, and the complex exp of +-0 + i*theta
+    is (cos(theta), sin(theta)). tests/test_channel.py's
+    test_diag_phases_match_the_complex_exp checks this against that
+    expression in tests/oracles.py.
     """
     cfg.validate_diagonal()
     amps = _check_synth_inputs(targets, amps)
-    k = np.arange(cfg.n_diag)
+    # One (high, low) bin pair per target, a cos/sin pass over all the phases.
+    bins = np.array([tone_pair_bins(cfg, t.range_m, t.radial_velocity_mps)[::-1]
+                     for t in targets])
+    theta = (2.0 * np.pi * bins)[..., np.newaxis] * np.arange(cfg.n_diag)
+    theta *= 1.0 / cfg.n_diag
+    tones = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=tones.real)
+    np.sin(theta, out=tones.imag)
     values = np.zeros(cfg.n_diag, dtype=complex)
-    for target, amp in zip(targets, amps):
-        lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
-        values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
-                                 + np.exp(2j * np.pi * lo * k / cfg.n_diag))
+    for (e_hi, e_lo), amp in zip(tones, amps):
+        values += (amp / 2.0) * (e_hi + e_lo)
     if noise is not None:
         _add_noise_in_place(values, noise, float(np.abs(amps).max()))
     return DiagonalVector(values)

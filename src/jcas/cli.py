@@ -221,7 +221,8 @@ def run_scene(scene: Scene, cfg: OfdmConfig, windows: tuple[WindowKind, ...], gr
     seed = seed_number("seed", seed)
     noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
     check_readable(scene, cfg, grid, bool(windows))
-    frames = [(t, targets, target_amplitudes(cfg, LinkBudget(), targets, seed, fidx))
+    budget = LinkBudget()
+    frames = [(t, targets, target_amplitudes(cfg, budget, targets, seed, fidx))
               for fidx, t in enumerate(scene.measurement_times_s)
               if (targets := targets_at(scene, t))]
 

@@ -28,7 +28,7 @@ class WindowKind(Enum):
     HAMMING = "hamming"
 
 
-# Detection floors used by the CLI when no explicit threshold is given.
+# Detection floors process_frame applies to each window's image.
 # The rectangular floor must stay above the -13 dB first sidelobe with margin
 # for multi-target skirt pileup; the Hamming floor sits between weak-target
 # levels (~-33 dB in the highway scenes) and the ~-41 dB sidelobe floor.
@@ -164,17 +164,19 @@ def detect_peaks_1d(img: RadarImage, threshold_db: float) -> list[Peak]:
 def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> list[DiagFrame]:
     """Window and transform a block of frames once per window, then detect and pair
     each frame: the DiagFrames in row order (a 1-D frame is a block of one). Each
-    window's image is thresholded at its DEFAULT_THRESHOLD_DB floor. The union of a
-    frame's detections is thinned strongest-first (an earlier window wins a tie) and
-    paired with pair_peaks.
+    window's image is thresholded at its DEFAULT_THRESHOLD_DB floor. With two
+    windows, the union of a frame's detections is thinned strongest-first (an
+    earlier window wins a tie); one window's detections are thinned already. The
+    peaks are then paired with pair_peaks.
     """
     block = d if d.values.ndim > 1 else DiagonalVector(d.values[np.newaxis])
     spectra = {kind: diag_spectrum(apply_window(block, kind)) for kind in windows}
     frames = []
     for images in (dict(zip(spectra, row)) for row in zip(*spectra.values())):
-        peaks = thin_peaks([p for kind, img in images.items()
-                            for p in detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind])],
-                           d.values.shape[-1])
+        found = [detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind]) for kind, img in images.items()]
+        # detect_peaks_1d's list is thinned already, and thinning it again keeps it as it is.
+        peaks = found[0] if len(found) == 1 else thin_peaks(
+            [p for window_peaks in found for p in window_peaks], d.values.shape[-1])
         frames.append(DiagFrame(images, peaks, *pair_peaks(peaks)))
     return frames
 

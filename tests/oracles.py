@@ -106,6 +106,18 @@ def frame_image(values, window: str) -> tuple[np.ndarray, float]:
     return 20.0 * np.log10(np.maximum(mag, peak * 1e-15) / peak), 20.0 * np.log10(peak)
 
 
+def exp_synthesize_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:
+    """Noiseless diagonal-comb observation, each tone its own complex exp: the
+    sum-and-difference pair at tone_pair_bins, amp/2 each, added in target order."""
+    k = np.arange(cfg.n_diag)
+    values = np.zeros(cfg.n_diag, dtype=complex)
+    for target, amp in zip(targets, amps):
+        lo, hi = tone_pair_bins(cfg, target.range_m, target.radial_velocity_mps)
+        values += (amp / 2.0) * (np.exp(2j * np.pi * hi * k / cfg.n_diag)
+                                 + np.exp(2j * np.pi * lo * k / cfg.n_diag))
+    return values
+
+
 def single_tone_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:
     """Diagonal-comb values as the literal product of each target's range and
     Doppler phase ramps: one tone per target at l_d - l_r, amp each."""

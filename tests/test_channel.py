@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from jcas.channel import (_NOISE_CHUNK, DiagonalVector, LinkBudget, NoiseSpec,
                           _add_noise_in_place, rx_power, synthesize_diag, synthesize_grid,
                           target_amplitudes)
-from jcas.config import (Target, bin_range, bin_velocity, doppler_bin, range_bin,
-                         tone_pair_bins)
-from oracles import (awgn_expression, expected_doppler_bin, expected_range_bin,
-                     loop_synthesize_grid, power_ratio_db, single_tone_diag)
+from jcas.config import (OfdmConfig, Target, bin_range, bin_velocity, doppler_bin,
+                         range_bin, tone_pair_bins)
+from oracles import (awgn_expression, exp_synthesize_diag, expected_doppler_bin,
+                     expected_range_bin, loop_synthesize_grid, power_ratio_db,
+                     single_tone_diag)
 
 BUDGET = LinkBudget()
 
@@ -210,6 +211,30 @@ class TestSynthesizeDiag:
         clean = synthesize_diag(table1, targets, amps).values
         noisy = synthesize_diag(table1, targets, amps, noise=noise).values
         assert np.array_equal(noisy, awgn_expression(clean, noise, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([480, 6, 7, 35]),
+           near=st.tuples(st.floats(0.5, 10.0), st.floats(-60.0, -20.0)),
+           kinematics=st.lists(st.tuples(st.floats(0.5, 180.0), st.floats(-90.0, 90.0)),
+                               max_size=31),
+           phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=32, max_size=32),
+           snr_db=st.sampled_from([None, 20.0]), seed=st.integers(0, 2**32 - 1))
+    def test_diag_phases_match_the_complex_exp(self, n, near, kinematics, phases, snr_db, seed):
+        # cos/sin of the real phase must give np.exp's bits, noiseless and
+        # noisy, on the table-1 comb and on 6^2, 7^2 and 35^2 combs (7
+        # subcarriers and symbols per step, as table 1). The first vehicle
+        # is near and approaching, so its high tone l_r + l_d is negative.
+        cfg = OfdmConfig(28e9, 120e3, 7 * n, 7 * n, n, n)
+        targets = [Target(r, v, 1.0) for r, v in [near, *kinematics]]
+        assert tone_pair_bins(cfg, *near)[1] < 0
+        mags = np.linspace(1.0, 0.1, len(targets))
+        amps = mags * np.exp(1j * np.array(phases[:len(targets)]))
+        noise = NoiseSpec(snr_db, rng_seed=seed) if snr_db is not None else None
+        want = exp_synthesize_diag(cfg, targets, amps)
+        if noise is not None:
+            want = awgn_expression(want, noise, float(np.abs(amps).max()))
+        got = synthesize_diag(cfg, targets, amps, noise=noise).values
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
     def test_diagonal_values_are_a_frame_or_a_block(self, shape):

@@ -1,15 +1,18 @@
 import gc
+import itertools
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from jcas import tracking
 from jcas.config import OfdmConfig, tone_pair_bins
 from jcas.diag_estimator import PeakPair, candidates
-from jcas.tracking import (DECISION_MARGIN_BINS, NEW_TRACK_GATE_BINS, TrackTable,
-                           resolve_ambiguity)
+from jcas.tracking import (_FRAMES_TO_DECIDE, _SCALAR_STEP_CELLS, DECISION_MARGIN_BINS,
+                           NEW_TRACK_GATE_BINS, TrackTable, resolve_ambiguity)
 
 # Every bin map of this configuration is the identity (one bin per metre and
 # per m/s) and every factor is a power of two, so predictions on integer bins
@@ -255,6 +258,68 @@ def test_table_matches_the_per_track_loop(cfg):
             assert table.owner == oracles.pair_owners(t, pairs, reference)
     if cfg is DYADIC:
         assert at_gate and at_margin
+
+
+def _step_with(cells, cfg, tracks, frame):
+    """resolve_ambiguity with _SCALAR_STEP_CELLS set to cells for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracking, "_SCALAR_STEP_CELLS", cells)
+        return resolve_ambiguity(cfg, tracks, frame)
+
+
+def _steps_in_lockstep(cfg, frames):
+    """Run frames through the scalar step, the array step and the default
+    choice between them; all three must leave the same bytes after every
+    frame. Returns what the frames covered."""
+    seen = set()
+    tables = {"scalar": TrackTable(), "array": TrackTable(), "default": TrackTable()}
+    cells = {"scalar": math.inf, "array": -1, "default": _SCALAR_STEP_CELLS}
+    for t, pairs in frames:
+        if pairs and len(tables["default"]):
+            seen.add("scalar" if len(tables["default"]) * len(pairs) <= _SCALAR_STEP_CELLS
+                     else "array")
+        for name, table in tables.items():
+            tables[name] = _step_with(cells[name], cfg, table, (t, pairs))
+        scalar, array, default = tables.values()
+        n = len(scalar)
+        assert len(array) == len(default) == n
+        assert (scalar._matrix[:n].tobytes() == array._matrix[:n].tobytes()
+                == default._matrix[:n].tobytes())
+        assert scalar.owner == array.owner == default.owner
+        assert scalar.rows(range(n)) == array.rows(range(n)) == default.rows(range(n))
+        for tr in scalar:
+            if math.inf in (tr.score_a, tr.score_b):
+                seen.add("dead")
+            if tr.n_frames >= _FRAMES_TO_DECIDE:
+                seen.add("held" if tr.chosen == "undecided" else "decided")
+                if tr.score_a == tr.score_b < math.inf:
+                    seen.add("tie")
+    return seen
+
+
+_BINS = st.tuples(st.integers(0, 24), st.integers(0, 24)).map(sorted)
+_FRAME_PAIRS = st.lists(_BINS.map(lambda b: PeakPair(b[0], b[1], 0.0)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=st.sampled_from([DYADIC, OfdmConfig.table1()]),
+       steps=st.lists(st.tuples(st.sampled_from([0.25, 0.5, 1.0]), _FRAME_PAIRS),
+                      min_size=1, max_size=12))
+def test_scalar_and_array_steps_write_the_same_table(cfg, steps):
+    times = itertools.accumulate(dt for dt, _ in steps)
+    _steps_in_lockstep(cfg, zip(times, (pairs for _, pairs in steps)))
+
+
+@pytest.mark.parametrize("cfg", [DYADIC, OfdmConfig.table1()], ids=["dyadic", "table1"])
+def test_both_steps_meet_dead_branches_ties_decisions_and_both_table_sizes(cfg):
+    # _random_frames holds coincident pairs (a dead branch b), duplicates
+    # (nearest-pair ties), branches of equal score and tracks that live long
+    # enough to decide; its tables start below _SCALAR_STEP_CELLS and grow
+    # past it.
+    seen = set()
+    for seed in range(12):
+        seen |= _steps_in_lockstep(cfg, _random_frames(cfg, np.random.default_rng(seed), 25))
+    assert seen == {"scalar", "array", "dead", "tie", "decided", "held"}
 
 
 def test_finished_table_is_freed_without_garbage_collection(table1):
