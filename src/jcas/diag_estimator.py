@@ -9,7 +9,6 @@ within a single frame (see tracking for the multi-frame resolution).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -28,7 +27,8 @@ class WindowKind(Enum):
     HAMMING = "hamming"
 
 
-# Detection floors process_frame applies to each window's image.
+# Detection floors, one per window: process_frame thresholds the image of a
+# mode's detection window (its last) at that window's floor.
 # The rectangular floor must stay above the -13 dB first sidelobe with margin
 # for multi-target skirt pileup; the Hamming floor sits between weak-target
 # levels (~-33 dB in the highway scenes) and the ~-41 dB sidelobe floor.
@@ -37,8 +37,9 @@ DEFAULT_THRESHOLD_DB = {
     WindowKind.HAMMING: -36.0,
 }
 DEFAULT_MIN_SEPARATION = 3
-# Windows each `simulate --window` mode processes a frame with; adaptive
-# detects on both images and merges the peaks.
+# Windows each `simulate --window` mode processes a frame with. Every window's
+# image is made and written; detection runs on the last one's, so adaptive
+# detects on the Hamming image and adds the rect image for comparison.
 WINDOW_MODES = {
     "rect": (WindowKind.RECTANGULAR,),
     "hamming": (WindowKind.HAMMING,),
@@ -49,9 +50,8 @@ WINDOW_MODES = {
 class Peak(NamedTuple):
     """A detected spectral peak.
 
-    bin is in native DFT-bin units. detect_peaks_1d gives int bins, and
-    thin_peaks takes only integer-valued ones; a peak read off a zero-padded
-    image may sit between them.
+    bin is in native DFT-bin units. detect_peaks_1d gives int bins; a peak
+    read off a zero-padded image may sit between them.
     """
 
     bin: float
@@ -82,8 +82,8 @@ class PeakPair(NamedTuple):
 
 @dataclass(frozen=True)
 class DiagFrame:
-    """One frame through process_frame: an image per window, the merged
-    peaks (strongest first), and their pairing."""
+    """One frame through process_frame: an image per window, the peaks
+    detected on the last window's image (strongest first), and their pairing."""
 
     images: dict[WindowKind, RadarImage]
     peaks: list[Peak]
@@ -124,59 +124,45 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
     return images if spectrum.ndim > 1 else images[0]
 
 
-def thin_peaks(peaks: Iterable[Peak], n: int) -> list[Peak]:
-    """Greedy strongest-first thinning over n circular bins.
-
-    Bins must be integer-valued. A peak closer than DEFAULT_MIN_SEPARATION bins
-    to an already kept, stronger peak is dropped; equal magnitudes keep their
-    input order. Result is sorted by magnitude descending.
-    """
-    # A bytearray set by a plain loop: a numpy fancy-index per kept peak
-    # costs more than the few bins it marks.
-    occupied = bytearray(n)
-    reach = range(1 - DEFAULT_MIN_SEPARATION, DEFAULT_MIN_SEPARATION)
-    kept: list[Peak] = []
-    for p in sorted(peaks, key=lambda p: -p.magnitude_db):
-        b = int(p.bin)
-        if b != p.bin:
-            raise ValueError(f"thin_peaks needs integer-valued bins, got {p.bin}")
-        if not occupied[b % n]:
-            kept.append(p)
-            for d in reach:
-                occupied[(b + d) % n] = 1
-    return kept
-
-
 def detect_peaks_1d(img: RadarImage, threshold_db: float) -> list[Peak]:
-    """Local maxima above threshold (a guard of 1 bin), thinned by thin_peaks.
+    """Local maxima above threshold (a guard of 1 bin), thinned strongest first.
 
-    Bins are circular. Thinning is greedy strongest-first: a weaker local
-    maximum closer than DEFAULT_MIN_SEPARATION bins to an already kept peak is
-    dropped. Result is sorted by magnitude descending.
+    Bins are circular. A weaker local maximum closer than
+    DEFAULT_MIN_SEPARATION bins to an already kept peak is dropped; of equal
+    magnitudes the lower bin comes first. Result is sorted by magnitude
+    descending.
     """
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to peak)")
     db = img.magnitude_db
     found = circular_maxima(db, threshold_db, 1)
-    return thin_peaks(map(Peak, found.tolist(), db[found].tolist()), len(db))
+    n = len(db)
+    # A bytearray set by a plain loop: a numpy fancy-index per kept peak
+    # costs more than the few bins it marks.
+    occupied = bytearray(n)
+    reach = range(1 - DEFAULT_MIN_SEPARATION, DEFAULT_MIN_SEPARATION)
+    kept: list[Peak] = []
+    # circular_maxima's bins ascend, so the stable sort breaks ties by bin.
+    for p in sorted(map(Peak, found.tolist(), db[found].tolist()),
+                    key=lambda p: -p.magnitude_db):
+        if not occupied[p.bin]:
+            kept.append(p)
+            for d in reach:
+                occupied[(p.bin + d) % n] = 1
+    return kept
 
 
 def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> list[DiagFrame]:
     """Window and transform a block of frames once per window, then detect and pair
-    each frame: the DiagFrames in row order (a 1-D frame is a block of one). Each
-    window's image is thresholded at its DEFAULT_THRESHOLD_DB floor. With two
-    windows, the union of a frame's detections is thinned strongest-first (an
-    earlier window wins a tie); one window's detections are thinned already. The
-    peaks are then paired with pair_peaks.
+    each frame: the DiagFrames in row order (a 1-D frame is a block of one). Every
+    window's image is kept; peaks are detected on the last window's image only, at
+    its DEFAULT_THRESHOLD_DB floor, and paired with pair_peaks.
     """
     block = d if d.values.ndim > 1 else DiagonalVector(d.values[np.newaxis])
     spectra = {kind: diag_spectrum(apply_window(block, kind)) for kind in windows}
     frames = []
     for images in (dict(zip(spectra, row)) for row in zip(*spectra.values())):
-        found = [detect_peaks_1d(img, DEFAULT_THRESHOLD_DB[kind]) for kind, img in images.items()]
-        # detect_peaks_1d's list is thinned already, and thinning it again keeps it as it is.
-        peaks = found[0] if len(found) == 1 else thin_peaks(
-            [p for window_peaks in found for p in window_peaks], d.values.shape[-1])
+        peaks = detect_peaks_1d(images[windows[-1]], DEFAULT_THRESHOLD_DB[windows[-1]])
         frames.append(DiagFrame(images, peaks, *pair_peaks(peaks)))
     return frames
 

@@ -331,7 +331,7 @@ def test_simulate_computes_candidates_once_per_detection(tmp_path, monkeypatch):
     assert main(["simulate", "--scene", "fig4", "--window", "adaptive",
                  "--seed", "1", "--out", str(out)]) == 0
     _, rows = _read_csv(out / "detections.csv")
-    assert len(calls) == len(rows) == 4
+    assert len(calls) == len(rows) == 6
 
 
 def test_simulate_grid_estimator(tmp_path, table1):
@@ -770,7 +770,7 @@ def test_run_scene_frames_carry_their_own_owners(table1):
     def readings(owner):
         return [(tr.track_id, tr.chosen, tr.r_m, tr.v_mps) for tr in owner]
 
-    scene, windows = builtin_scene("fig4"), WINDOW_MODES["adaptive"]
+    scene, windows = builtin_scene("fig4"), WINDOW_MODES["rect"]
     live = [readings(frame.tracks.rows(frame.tracks.owner))
             for frame in run_scene(scene, table1, windows, False, None, 1)]
     frames = list(run_scene(scene, table1, windows, False, None, 1))

@@ -7,7 +7,7 @@ from jcas.config import Target, capabilities, tone_pair_bins
 from jcas.diag_estimator import (DEFAULT_MIN_SEPARATION, DEFAULT_THRESHOLD_DB, Peak,
                                  PeakPair, WindowKind, apply_window, candidates,
                                  detect_peaks_1d, diag_spectrum, pair_peaks,
-                                 RadarImage, thin_peaks, window_coefficients)
+                                 RadarImage, window_coefficients)
 from jcas.grid_estimator import circular_maxima
 from oracles import (MAINLOBE_HALFWIDTH, frame_image, local_maxima_1d, psl,
                      single_tone_diag, thin_pairwise)
@@ -163,12 +163,24 @@ class TestDetect:
         peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0)
         assert [p.bin for p in peaks] == [10, 30]
 
-    def test_thinning_ties_keep_input_order_across_wrap(self):
-        # bins 63 and 1 are 2 apart on a 64-bin circle; the tie keeps 63,
-        # which comes first
-        peaks = [Peak(bin=63, magnitude_db=-5.0), Peak(bin=1, magnitude_db=-5.0),
-                 Peak(bin=10, magnitude_db=-1.0)]
-        assert thin_peaks(peaks, 64) == [peaks[2], peaks[0]]
+    def test_thinning_ties_keep_the_lower_bin_across_wrap(self):
+        # bins 63 and 1 are 2 apart on a 64-bin circle; of the tied pair the
+        # lower bin, 1, is kept
+        db = np.full(64, -60.0)
+        db[[63, 1]] = -5.0
+        db[10] = -1.0
+        peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0)
+        assert [p.bin for p in peaks] == [10, 1]
+
+    @staticmethod
+    def _assert_matches_thin_pairwise(db, threshold):
+        maxima = local_maxima_1d(db, threshold)
+        assert circular_maxima(db, threshold, 1).tolist() == maxima
+        got = detect_peaks_1d(RadarImage(db, 0.0), threshold)
+        want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i])) for i in maxima],
+                             len(db), DEFAULT_MIN_SEPARATION)
+        assert got == want
+        assert all(type(p.bin) is int for p in got)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 480])
     def test_matches_loop_oracle_with_ties(self, n):
@@ -179,34 +191,21 @@ class TestDetect:
         for _ in range(25):
             db = rng.integers(-160, 1, size=n) * 0.25
             for threshold in (-10.0, -25.0, -40.0):
-                maxima = local_maxima_1d(db, threshold)
-                assert circular_maxima(db, threshold, 1).tolist() == maxima
-                got = detect_peaks_1d(RadarImage(db, 0.0), threshold)
-                want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i])) for i in maxima],
-                                     n, DEFAULT_MIN_SEPARATION)
-                assert got == want
-                assert all(type(p.bin) is int for p in got)
+                self._assert_matches_thin_pairwise(db, threshold)
 
     @pytest.mark.parametrize("draw", [1, 2, 3, 4, 5])
     def test_thinning_matches_pairwise_oracle(self, draw):
-        # Few bins and quarter-dB magnitudes: repeated bins, ties across the
-        # wrap, and a separation that covers most of a short circle. Five
-        # seeded draws of 40 peak sets per circle.
+        # A comb of maxima on every other bin, within 2 dB of each other in
+        # quarter-dB steps: a kept peak's reach covers its neighbours, ties
+        # two bins apart and across the wrap are common, and the separation
+        # covers most of a short circle. Five seeded draws of 40 images per
+        # circle; random images rarely put two tied maxima within reach.
         rng = np.random.default_rng(100 + draw)
         for n in (1, 2, 5, 9, 16, 480):
             for _ in range(40):
-                size = int(rng.integers(0, 3 * min(n, 10) + 1))
-                peaks = [Peak(bin=int(b), magnitude_db=float(m) * 0.25)
-                         for b, m in zip(rng.integers(0, n, size=size),
-                                         rng.integers(-8, 1, size=size))]
-                got = thin_peaks(peaks, n)
-                want = thin_pairwise(peaks, n, DEFAULT_MIN_SEPARATION)
-                assert len(got) == len(want)
-                assert all(a is b for a, b in zip(got, want))
-
-    def test_thinning_refuses_fractional_bins(self):
-        with pytest.raises(ValueError, match="integer-valued"):
-            thin_peaks([Peak(bin=91.75, magnitude_db=-3.0)], 480)
+                db = np.full(n, -60.0)
+                db[::2] = rng.integers(-8, 1, size=(n + 1) // 2) * 0.25
+                self._assert_matches_thin_pairwise(db, -30.0)
 
     def test_default_floors_are_the_documented_ones(self):
         # the goldens catch a raised floor (a detection disappears) but not

@@ -76,13 +76,29 @@ rcs_m2 = {rcs}
 
 def test_noisy_multi_frame_tracking_matches_golden(tmp_path):
     # Six vehicles over four 20 dB frames: pair ownership, branch scores and
-    # resolved tracks (9 "a", 3 "b") carried across noisy frames.
+    # resolved tracks (10 "a", 3 "b") carried across noisy frames.
     scene = tmp_path / "highway6.toml"
     scene.write_text(HIGHWAY6_SCENE)
     out = tmp_path / "run"
     assert main(["simulate", "--scene", str(scene), "--window", "adaptive",
                  "--snr-db", "20", "--seed", "3", "--out", str(out)]) == 0
     _assert_matches_golden(out, GOLDEN / "highway6_adaptive_snr20")
+
+
+@pytest.mark.parametrize("scene", ["fig4", "fig5", "highway6"])
+def test_adaptive_detects_as_hamming(tmp_path, scene):
+    # adaptive detects on the Hamming image alone; its rect image is written
+    # for comparison, so the detections and tracks are hamming's.
+    if scene == "highway6":
+        (tmp_path / "highway6.toml").write_text(HIGHWAY6_SCENE)
+        args = ["--scene", str(tmp_path / "highway6.toml"), "--snr-db", "20", "--seed", "3"]
+    else:
+        args = ["--scene", scene, "--seed", "1"]
+    for window in ("adaptive", "hamming"):
+        assert main(["simulate", *args, "--window", window, "--out", str(tmp_path / window)]) == 0
+    for name in ("detections.csv", "tracks.csv"):
+        assert (tmp_path / "adaptive" / name).read_bytes() == \
+            (tmp_path / "hamming" / name).read_bytes(), name
 
 
 def test_noisy_dense_grid_matches_golden(tmp_path):
