@@ -71,30 +71,34 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class SymbolMatrix:
-    """Normalized Rx/Tx quotient on the grid comb, n_sensing_freq x n_sensing_time."""
+    """Normalized Rx/Tx quotient on the grid comb, n_sensing_freq x n_sensing_time, as
+    a complex ndarray: a complex128 array is kept as it is, anything else converted."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values)
+        v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2:
             raise ValueError("SymbolMatrix values must be 2-D")
         if not np.isfinite(v).all():
             raise ValueError("SymbolMatrix values must be finite")
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
 class DiagonalVector:
-    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag (2-D: a frame per row)."""
+    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag (2-D: a frame per
+    row), as a complex ndarray kept or converted as SymbolMatrix's values are."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values)
+        v = np.asarray(self.values, dtype=complex)
         if v.ndim not in (1, 2):
             raise ValueError("DiagonalVector values must be 1-D, or 2-D for a block")
         if not np.isfinite(v).all():
             raise ValueError("DiagonalVector values must be finite")
+        object.__setattr__(self, "values", v)
 
 
 def rx_power(budget: LinkBudget, cfg: OfdmConfig, target: Target) -> float:

@@ -36,6 +36,10 @@ DEFAULT_THRESHOLD_DB = {
     WindowKind.RECTANGULAR: -30.0,
     WindowKind.HAMMING: -36.0,
 }
+# Pairing tolerances, one per window, each above that window's straddle loss: a lone
+# target's tone half-way between bins reads 3.92 dB (rect) or 1.75 dB (Hamming)
+# below its on-bin twin.
+PAIR_TOLERANCE_DB = {WindowKind.RECTANGULAR: 4.0, WindowKind.HAMMING: 3.0}
 DEFAULT_MIN_SEPARATION = 3
 # Windows each `simulate --window` mode processes a frame with. Every window's
 # image is made and written; detection runs on the last one's, so adaptive
@@ -117,10 +121,9 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
                   counter: transforms.MultiplyCounter | None = None
                   ) -> RadarImage | list[RadarImage]:
     """Length-N DFT magnitude of each frame, dB-normalized to its own peak (a block's: a list)."""
-    spectrum = transforms.dft(np.asarray(d.values, dtype=complex),
-                              method=method, counter=counter)
-    db, levels = to_normalized_db(np.abs(spectrum).reshape(-1, spectrum.shape[-1]), -1)
-    images = list(map(RadarImage, db, levels))
+    spectrum = transforms.dft(d.values, method=method, counter=counter)
+    db = to_normalized_db(np.abs(spectrum).reshape(-1, spectrum.shape[-1]), -1)
+    images = list(map(RadarImage, db))
     return images if spectrum.ndim > 1 else images[0]
 
 
@@ -156,18 +159,19 @@ def process_frame(d: DiagonalVector, windows: tuple[WindowKind, ...]) -> list[Di
     """Window and transform a block of frames once per window, then detect and pair
     each frame: the DiagFrames in row order (a 1-D frame is a block of one). Every
     window's image is kept; peaks are detected on the last window's image only, at
-    its DEFAULT_THRESHOLD_DB floor, and paired with pair_peaks.
+    its DEFAULT_THRESHOLD_DB floor, and paired by pair_peaks at its PAIR_TOLERANCE_DB.
     """
     block = d if d.values.ndim > 1 else DiagonalVector(d.values[np.newaxis])
     spectra = {kind: diag_spectrum(apply_window(block, kind)) for kind in windows}
+    detect = windows[-1]
     frames = []
     for images in (dict(zip(spectra, row)) for row in zip(*spectra.values())):
-        peaks = detect_peaks_1d(images[windows[-1]], DEFAULT_THRESHOLD_DB[windows[-1]])
-        frames.append(DiagFrame(images, peaks, *pair_peaks(peaks)))
+        peaks = detect_peaks_1d(images[detect], DEFAULT_THRESHOLD_DB[detect])
+        frames.append(DiagFrame(images, peaks, *pair_peaks(peaks, PAIR_TOLERANCE_DB[detect])))
     return frames
 
 
-def pair_peaks(peaks: list[Peak], amp_tolerance_db: float = 3.0
+def pair_peaks(peaks: list[Peak], amp_tolerance_db: float
                ) -> tuple[list[PeakPair], list[Peak]]:
     """Group peaks into equal-amplitude pairs.
 

@@ -24,12 +24,9 @@ _MAG_FLOOR_REL = 1e-15
 @dataclass(frozen=True)
 class RadarImage:
     """dB-normalized transform magnitude, a 1-D spectrum or a 2-D range-Doppler
-    map, as to_normalized_db returns it: the strongest bin is 0 dB, and
-    reference_level is 20*log10 of the strongest linear magnitude.
-    """
+    map, as to_normalized_db returns it: the strongest bin is 0 dB."""
 
     magnitude_db: np.ndarray
-    reference_level: float
 
 
 @dataclass(frozen=True)
@@ -41,17 +38,15 @@ class GridDetection:
     velocity_mps: float
 
 
-def to_normalized_db(mag: np.ndarray, axis: int | None = None
-                     ) -> tuple[np.ndarray, float | list[float]]:
-    """dB of mag, overwritten in place, with the peak at 0 dB; returns (map, peak level in dB).
-    Along an axis, each slice has its own peak, and the levels are a list."""
+def to_normalized_db(mag: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """dB of mag, overwritten in place and returned, with the peak at 0 dB.
+    Along an axis, each slice has its own peak."""
     peak = mag.max(axis=axis, keepdims=True)
     if (peak <= 0).any():
         raise ValueError("cannot normalize an all-zero magnitude array")
     np.maximum(mag, peak * _MAG_FLOOR_REL, out=mag)
     np.log10(np.divide(mag, peak, out=mag), out=mag)
-    levels = [20.0 * np.log10(p) for p in peak.ravel().tolist()]
-    return np.multiply(mag, 20.0, out=mag), levels[0] if axis is None else levels
+    return np.multiply(mag, 20.0, out=mag)
 
 
 def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarray:
@@ -78,21 +73,21 @@ def range_doppler_map(c: SymbolMatrix, method: str = "fast",
 
     The Doppler DFT carries no scale; the range IDFT carries 1/N_f. With
     this convention total map energy equals (N_t/N_f) times input energy.
-    The fast method consumes c.values when it is a writable C-contiguous
-    complex128 array, so a grid frame needs one complex buffer: the spectrum
-    overwrites it, and the dB map is packed into its first N_f*N_t floats.
-    The returned map is then a view that keeps the whole buffer alive. Any
-    other values are copied first. The naive method never writes c.values.
+    The fast method consumes c.values when it is writable and C-contiguous, so a
+    grid frame needs one complex buffer: the spectrum overwrites it, and the dB
+    map is packed into its first N_f*N_t floats. The returned map is then a view
+    that keeps the whole buffer alive. Read-only or non-contiguous values are
+    copied first. The naive method never writes c.values.
     """
     if method == "fast":
-        values = np.require(c.values, complex, ("C", "W"))
+        values = np.require(c.values, requirements=("C", "W"))
         transforms.dft(values, axis=1, counter=counter, out=values)
         transforms.idft(values, axis=0, counter=counter, out=values)
         mag = _pack_magnitude(values)
     else:
         spectrum = transforms.dft(c.values, axis=1, method=method, counter=counter)
         mag = np.abs(transforms.idft(spectrum, axis=0, method=method, counter=counter))
-    return RadarImage(*to_normalized_db(mag))
+    return RadarImage(to_normalized_db(mag))
 
 
 def _pack_magnitude(values: np.ndarray) -> np.ndarray:

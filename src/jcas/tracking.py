@@ -70,7 +70,7 @@ class Track(NamedTuple):
 
 
 class TrackTable:
-    """Every track's state as rows of one matrix, in track-id order.
+    """Every track's state as the rows of one matrix, exactly one per track, in id order.
 
     Iterating, or indexing by track id, gives :class:`Track` copies of the
     rows as they stand. ``owner`` holds, for every pair of the latest frame,
@@ -79,25 +79,24 @@ class TrackTable:
     """
 
     def __init__(self) -> None:
-        self._matrix = np.empty((16, _N_COLUMNS))
-        self._n = 0
+        self._matrix = np.empty((0, _N_COLUMNS))
         self._last_t = -math.inf
         self.owner: list[int] = []
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._matrix)
 
     def __iter__(self):
-        return iter(self.rows(range(self._n)))
+        return iter(self.rows(range(len(self))))
 
     def __getitem__(self, track_id: int) -> Track:
         # range counts a negative id from the end and refuses one past it
-        return self.rows([range(self._n)[track_id]])[0]
+        return self.rows([range(len(self))[track_id]])[0]
 
     def rows(self, ids) -> list[Track]:
         """Copies of the rows of the given track ids, each in [0, len), as they stand."""
         tracks = []
-        for track_id, row in zip(ids, self._matrix[:self._n][ids].tolist()):
+        for track_id, row in zip(ids, self._matrix[ids].tolist()):
             scores, chosen = row[_SCORE], int(row[_CHOSEN])
             best = chosen if chosen >= 0 else scores.index(min(scores))
             tracks.append(Track(track_id, int(row[_FRAMES]), *row[_READINGS], *scores,
@@ -107,17 +106,13 @@ class TrackTable:
     def _open(self, readings: list[tuple], t: float) -> range:
         """Append one track per readings tuple (its _READINGS), opened at t;
         returns their ids."""
-        n, k = self._n, len(readings)
-        if n + k > len(self._matrix):
-            grown = np.empty((max(2 * len(self._matrix), n + k), _N_COLUMNS))
-            grown[:n] = self._matrix[:n]
-            self._matrix = grown
-        rows = self._matrix[n:n + k]
+        n, k = len(self._matrix), len(readings)
+        rows = np.empty((k, _N_COLUMNS))
         rows[:, _READINGS] = readings
         # A non-positive range cannot be a physical target; kill that branch now.
         rows[:, _SCORE] = np.where(rows[:, _RANGE] <= 0.0, math.inf, 0.0)
         rows[:, _LAST_T:] = t, 1.0, -1.0  # _LAST_T, _FRAMES, _CHOSEN
-        self._n = n + k
+        self._matrix = np.concatenate((self._matrix, rows))
         return range(n, n + k)
 
 
@@ -157,8 +152,7 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
 
 def _array_step(cfg: OfdmConfig, tracks: TrackTable, t: float, obs: np.ndarray) -> None:
     """Score, claim and decide for every track at once; obs holds a row per pair."""
-    n, owner = len(tracks), tracks.owner
-    rows = tracks._matrix[:n]
+    n, owner, rows = len(tracks), tracks.owner, tracks._matrix
     scores, chosen = rows[:, _SCORE], rows[:, _CHOSEN]
     velocity = rows[:, _VELOCITY]
     lo, hi = tone_pair_bins(
@@ -197,7 +191,7 @@ def _scalar_step(cfg: OfdmConfig, tracks: TrackTable, t: float, obs: list[tuple]
     the same order, so the same rows and owner, bit for bit. A small table
     pays numpy's fixed cost per call more than it saves on its few cells."""
     matrix, owner = tracks._matrix, tracks.owner
-    for i, row in enumerate(matrix[:len(tracks)].tolist()):
+    for i, row in enumerate(matrix.tolist()):
         scores, nearest = row[_SCORE], []
         for branch, (r, v) in enumerate(zip(row[_RANGE], row[_VELOCITY])):
             lo, hi = tone_pair_bins(cfg, r + v * (t - row[_LAST_T]), v)

@@ -90,11 +90,11 @@ def awgn_expression(values, noise, reference_amplitude: float) -> np.ndarray:
 
 def out_of_place_map(x) -> np.ndarray:
     """dB range-Doppler map of x through numpy's FFT into fresh arrays."""
-    return to_normalized_db(np.abs(np.fft.ifft(np.fft.fft(x, axis=1), axis=0)))[0]
+    return to_normalized_db(np.abs(np.fft.ifft(np.fft.fft(x, axis=1), axis=0)))
 
 
-def frame_image(values, window: str) -> tuple[np.ndarray, float]:
-    """One diagonal frame's dB radar image and reference level, written out per frame:
+def frame_image(values, window: str) -> np.ndarray:
+    """One diagonal frame's dB radar image, written out per frame:
     the literal window ("rect" or "hamming"), numpy's FFT of the frame alone, its
     magnitude clamped at peak * 1e-15, and 20*log10 of the ratio to the peak."""
     values = np.asarray(values, dtype=complex)
@@ -103,7 +103,7 @@ def frame_image(values, window: str) -> tuple[np.ndarray, float]:
         values = values * (0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1)))
     mag = np.abs(np.fft.fft(values))
     peak = float(mag.max())
-    return 20.0 * np.log10(np.maximum(mag, peak * 1e-15) / peak), 20.0 * np.log10(peak)
+    return 20.0 * np.log10(np.maximum(mag, peak * 1e-15) / peak)
 
 
 def exp_synthesize_diag(cfg: OfdmConfig, targets, amps) -> np.ndarray:

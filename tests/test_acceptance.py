@@ -17,9 +17,10 @@ from jcas.channel import (DiagonalVector, LinkBudget, rx_power, synthesize_diag,
                           synthesize_grid, target_amplitudes)
 from jcas.cli import count_ops, run_scene
 from jcas.config import OfdmConfig, Target, capabilities, overhead, tone_pair_bins
-from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, Peak, RadarImage, WindowKind,
-                                 apply_window, candidates, detect_peaks_1d,
-                                 diag_spectrum, pair_peaks, window_coefficients)
+from jcas.diag_estimator import (DEFAULT_THRESHOLD_DB, PAIR_TOLERANCE_DB, Peak,
+                                 RadarImage, WindowKind, apply_window, candidates,
+                                 detect_peaks_1d, diag_spectrum, pair_peaks,
+                                 window_coefficients)
 from jcas.grid_estimator import (bins_to_estimate, range_doppler_map,
                                  to_normalized_db)
 from jcas.scenario import builtin_scene, targets_at
@@ -68,7 +69,7 @@ def test_criterion_1_dual_peak_profile_and_candidates():
         bins = sorted(p.bin for p in peaks)
         assert len(bins) == 2
         assert abs(bins[0] - 81) <= 2 and abs(bins[1] - 134) <= 2
-        pairs, _ = pair_peaks(peaks)
+        pairs, _ = pair_peaks(peaks, PAIR_TOLERANCE_DB[WindowKind.RECTANGULAR])
         r_a, v_a, r_b, v_b = candidates(CFG, pairs[0])
         assert abs(r_a - 40.0) <= 0.4
         assert abs(v_a - 5.0) <= 0.3
@@ -200,18 +201,21 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
         failures = []
         for window in windows:
             windowed = apply_window(d, window)
-            db, ref = to_normalized_db(
-                np.abs(np.fft.fft(windowed.values, OVERSAMPLE * n)))
+            mag = np.abs(np.fft.fft(windowed.values, OVERSAMPLE * n))
+            ref = 20.0 * np.log10(mag.max())
+            db = to_normalized_db(mag)
             # every OVERSAMPLE-th sample is the runner's own image; compared
             # in absolute dB because a peak between bins (Hamming here) moves
-            # the fine image's 0 dB reference
+            # the fine image's 0 dB reference. The native image's level is
+            # the peak of the native FFT of the same windowed samples.
             native = images[window]
+            native_ref = 20.0 * np.log10(np.abs(np.fft.fft(windowed.values)).max())
             guard = np.max(np.abs(db[::OVERSAMPLE] + ref
-                                  - native.magnitude_db - native.reference_level))
+                                  - native.magnitude_db - native_ref))
             assert guard <= 1e-9, f"{window.value}: fine image off by {guard} dB"
             peaks = [Peak(bin=p.bin / OVERSAMPLE, magnitude_db=p.magnitude_db)
                      for p in detect_peaks_1d(
-                         RadarImage(db, ref), threshold_db=DEFAULT_THRESHOLD_DB[window])]
+                         RadarImage(db), threshold_db=DEFAULT_THRESHOLD_DB[window])]
             strong_bins = sorted(p.bin for p in peaks
                                  if min(abs(p.bin - b) for b in (76, 82, 133, 134)) <= 1)
             offsets = np.array([_circular_offset(bins, b, n) for b in tones])
@@ -228,7 +232,7 @@ def test_criterion_7_window_tradeoff_strong_weak_scene():
                     failures.append(f"rect: {levels}, wanted the weak target "
                                     "masked")
             else:
-                pairs, _ = pair_peaks(peaks)
+                pairs, _ = pair_peaks(peaks, PAIR_TOLERANCE_DB[window])
                 weak_pairs = [p for p in pairs
                               if abs(p.l1 - 92) <= 1 and abs(p.l2 - 123) <= 1]
                 if not weak_pairs:
@@ -290,10 +294,10 @@ def test_criterion_9_round_trip_both_estimators():
             assert abs(v_g - v) <= VELOCITY_QUANTUM
             # diagonal: pair the two peaks, take the candidate branch that
             # matches; the worst-case straddle loss is 3.92 dB, hence the
-            # pairing tolerance of 4 dB here
+            # rect pairing tolerance of 4 dB here
             d = synthesize_diag(CFG, [target], np.array([1.0]))
             peaks = detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0)
-            pairs, _ = pair_peaks(peaks, amp_tolerance_db=4.0)
+            pairs, _ = pair_peaks(peaks, PAIR_TOLERANCE_DB[WindowKind.RECTANGULAR])
             assert len(pairs) == 1, f"target ({r:.2f}, {v:.2f}): {len(pairs)} pairs"
             r_a, v_a, r_b, v_b = candidates(CFG, pairs[0])
             r_d, v_d = min(((r_a, v_a), (r_b, v_b)), key=lambda s: abs(s[0] - r_g))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcas.channel import (_NOISE_CHUNK, DiagonalVector, LinkBudget, NoiseSpec,
-                          _add_noise_in_place, rx_power, synthesize_diag, synthesize_grid,
-                          target_amplitudes)
+                          SymbolMatrix, _add_noise_in_place, rx_power, synthesize_diag,
+                          synthesize_grid, target_amplitudes)
 from jcas.config import (OfdmConfig, Target, bin_range, bin_velocity, doppler_bin,
                          range_bin, tone_pair_bins)
+from jcas.diag_estimator import WINDOW_MODES, process_frame
 from oracles import (awgn_expression, exp_synthesize_diag, expected_doppler_bin,
                      expected_range_bin, loop_synthesize_grid, power_ratio_db,
                      single_tone_diag)
@@ -244,11 +245,33 @@ class TestSynthesizeDiag:
         with pytest.raises(ValueError, match="must be finite"):
             DiagonalVector(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
+    def test_a_list_of_samples_is_the_same_frame_as_its_array(self, table1):
+        d = synthesize_diag(table1, [Target(40.0, 5.0, 1.0), Target(90.0, 20.0, 1.0)],
+                            np.array([1.0, 0.5j]))
+        (got,) = process_frame(DiagonalVector(d.values.tolist()), WINDOW_MODES["adaptive"])
+        (want,) = process_frame(d, WINDOW_MODES["adaptive"])
+        assert got.images.keys() == want.images.keys()
+        for kind, img in got.images.items():
+            assert img.magnitude_db.tobytes() == want.images[kind].magnitude_db.tobytes()
+        assert (got.peaks, got.pairs, got.orphans) == (want.peaks, want.pairs, want.orphans)
+        assert len(got.pairs) == 2
+
     def test_diagonal_needs_square_combs(self, small_cfg):
         import dataclasses
         bad = dataclasses.replace(small_cfg, n_sensing_time=24)
         with pytest.raises(ValueError, match="diagonal"):
             synthesize_diag(bad, [Target(5.0, 1.0, 1.0)], np.array([1.0]))
+
+
+@pytest.mark.parametrize("kind, shape", [(DiagonalVector, (6,)), (DiagonalVector, (2, 3)),
+                                         (SymbolMatrix, (2, 3))])
+def test_sample_types_hold_the_complex_array_they_check(kind, shape):
+    x = np.exp(1j * np.arange(6.0)).reshape(shape)
+    assert kind(x).values is x  # a complex128 array is kept, not copied
+    real = kind(x.real).values
+    assert real.dtype == np.complex128 and real.tobytes() == x.real.astype(complex).tobytes()
+    listed = kind(x.tolist()).values
+    assert isinstance(listed, np.ndarray) and listed.tobytes() == x.tobytes()
 
 
 class TestNoise:

@@ -38,7 +38,7 @@ def test_write_rdmap_csv_matches_per_cell_rendering(tmp_path):
     rng = np.random.default_rng(5)
     db = rng.uniform(-320.0, 0.0, size=(6, 9))
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
-    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
+    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db))
     rows = ["%d,%d,%.6g" % (p, q, db[p, q]) for p in range(6) for q in range(9)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
@@ -51,14 +51,14 @@ def test_write_rdmap_csv_multi_digit_indices(tmp_path, shape):
     db = np.random.default_rng(n_f * n_t).uniform(-320.0, 0.0, size=shape)
     db.flat[:len(FORMAT_EDGE_VALUES)] = FORMAT_EDGE_VALUES
     db[-1, -len(FORMAT_EDGE_VALUES):] = FORMAT_EDGE_VALUES
-    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
+    write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db))
     rows = ["%d,%d,%.6g" % (p, q, db[p, q]) for p in range(n_f) for q in range(n_t)]
     expected = "\n".join(["p,q,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "rd.csv").read_text() == expected
 
 
 def _assert_rdmap_matches_oracle(tmp_path, db):
-    rd = RadarImage(db, 0.0)
+    rd = RadarImage(db)
     write_rdmap_csv(tmp_path / "rd.csv", rd)
     template_rdmap_csv(tmp_path / "oracle.csv", rd)
     assert (tmp_path / "rd.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -134,7 +134,7 @@ def test_write_rdmap_csv_degenerate_cells_raise_no_warning(tmp_path):
     db = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7e308, -300.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db, 0.0))
+        write_rdmap_csv(tmp_path / "rd.csv", RadarImage(db))
     assert (tmp_path / "rd.csv").read_text().splitlines() == [
         "p,q,magnitude_db", "0,0,0", "0,1,-0", "0,2,nan", "0,3,inf", "0,4,-inf",
         "0,5,4.94066e-324", "0,6,-1.7e+308", "0,7,-300"]
@@ -142,14 +142,14 @@ def test_write_rdmap_csv_degenerate_cells_raise_no_warning(tmp_path):
 
 def test_write_image_csv_matches_per_cell_rendering(tmp_path):
     db = np.random.default_rng(6).uniform(-320.0, 0.0, size=16)
-    write_image_csvs([(tmp_path / "img.csv", RadarImage(db, 0.0))])
+    write_image_csvs([(tmp_path / "img.csv", RadarImage(db))])
     rows = ["%d,%.6g" % (b, db[b]) for b in range(9)]
     expected = "\n".join(["bin,magnitude_db", *rows]) + "\n"
     assert (tmp_path / "img.csv").read_text() == expected
 
 
 def _assert_images_match_oracle(tmp_path, dbs):
-    images = [(tmp_path / f"img_{k}.csv", RadarImage(db, 0.0)) for k, db in enumerate(dbs)]
+    images = [(tmp_path / f"img_{k}.csv", RadarImage(db)) for k, db in enumerate(dbs)]
     write_image_csvs(images)
     for k, (path, img) in enumerate(images):
         template_image_csv(tmp_path / "oracle.csv", img)
@@ -410,6 +410,23 @@ def test_scene_subcarrier_spacing_sets_geometry(tmp_path, capsys):
     header, dets = _read_csv(out / "grid_detections.csv")
     assert header == "time_s,p,q,magnitude_db,range_m,velocity_mps"
     assert dets[0][0] == "0" and dets[0][4:] == ["20.0893", "4.97449"]
+
+
+def test_simulate_rect_pairs_a_lone_car_across_its_straddle_loss(tmp_path):
+    # At t = 0.2 the car's tones sit at bins 24.04 and 80.49, one on a bin and
+    # one half-way between two, and rect's straddle loss puts their peaks
+    # 3.77 dB apart, beyond 3 dB. Rect's 4 dB pairing tolerance still pairs
+    # them, so the frame is detected and the track reads the true 21 m, 5 m/s
+    # branch within a cell, not the other branch's 38.7 m, 2.58 m/s.
+    scene = tmp_path / "spacing60k.cfg"
+    scene.write_text(SPACING_60K_SCENE.replace("[0.0, 0.2, 0.4]", "[0.0, 0.2]"))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scene", str(scene), "--window", "rect",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "detections.csv")
+    assert [(r[0], r[1], r[2]) for r in rows] == [("0", "25", "79"), ("0.2", "24", "80")]
+    _, tracks = _read_csv(out / "tracks.csv")
+    assert len(tracks) == 1 and tracks[0][5:] == ["20.8333", "4.97449"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -822,8 +839,7 @@ def test_run_scene_makes_each_frame_when_asked(monkeypatch, table1):
 def test_run_scene_block_rows_equal_the_per_frame_image(n_frames, vehicles, window,
                                                          snr_db, seed):
     # Each frame's image, made in a block of frames, equals that frame's own
-    # window -> FFT -> dB bit for bit, and so does its reference level; 70
-    # frames of 480 bins take three blocks.
+    # window -> FFT -> dB bit for bit; 70 frames of 480 bins take three blocks.
     cfg = OfdmConfig.table1()
     scene = Scene(tuple(VehicleSpec(f"v{i}", *v) for i, v in enumerate(vehicles)),
                   tuple(0.02 * k for k in range(n_frames)))
@@ -835,9 +851,7 @@ def test_run_scene_block_rows_equal_the_per_frame_image(n_frames, vehicles, wind
         amps = target_amplitudes(cfg, LinkBudget(), targets, seed, fidx)
         d = synthesize_diag(cfg, targets, amps, noise=noise)
         for kind, img in frame.diag.images.items():
-            db, level = frame_image(d.values, kind.value)
-            assert img.magnitude_db.tobytes() == db.tobytes()
-            assert img.reference_level == level
+            assert img.magnitude_db.tobytes() == frame_image(d.values, kind.value).tobytes()
 
 
 def test_run_scene_skips_empty_frames_and_seeds_by_time_index(monkeypatch, table1):

@@ -4,15 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from jcas.channel import DiagonalVector, synthesize_diag
 from jcas.config import Target, capabilities, tone_pair_bins
-from jcas.diag_estimator import (DEFAULT_MIN_SEPARATION, DEFAULT_THRESHOLD_DB, Peak,
-                                 PeakPair, WindowKind, apply_window, candidates,
-                                 detect_peaks_1d, diag_spectrum, pair_peaks,
-                                 RadarImage, window_coefficients)
+from jcas.diag_estimator import (DEFAULT_MIN_SEPARATION, DEFAULT_THRESHOLD_DB,
+                                 PAIR_TOLERANCE_DB, Peak, PeakPair, WindowKind,
+                                 apply_window, candidates, detect_peaks_1d,
+                                 diag_spectrum, pair_peaks, RadarImage,
+                                 window_coefficients)
 from jcas.grid_estimator import circular_maxima
 from oracles import (MAINLOBE_HALFWIDTH, frame_image, local_maxima_1d, psl,
                      single_tone_diag, thin_pairwise)
 
 FIG3_TARGET = Target(40.0, 5.0, 1.0)
+# Hand-made peaks come from no window's image; they pair at Hamming's 3 dB.
+_TOLERANCE = PAIR_TOLERANCE_DB[WindowKind.HAMMING]
 
 
 def _tone(n, f):
@@ -57,9 +60,7 @@ class TestSpectrum:
         images = diag_spectrum(apply_window(DiagonalVector(block), window))
         assert len(images) == shape[0]
         for row, img in zip(block, images):
-            db, level = frame_image(row, window.value)
-            assert img.magnitude_db.tobytes() == db.tobytes()
-            assert img.reference_level == level
+            assert img.magnitude_db.tobytes() == frame_image(row, window.value).tobytes()
 
     def test_block_refuses_any_all_zero_frame(self):
         block = np.ones((3, 16), dtype=complex)
@@ -160,7 +161,7 @@ class TestDetect:
         db[10] = 0.0
         db[11] = -1.0
         db[30] = -2.0
-        peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0)
+        peaks = detect_peaks_1d(RadarImage(db), threshold_db=-30.0)
         assert [p.bin for p in peaks] == [10, 30]
 
     def test_thinning_ties_keep_the_lower_bin_across_wrap(self):
@@ -169,14 +170,14 @@ class TestDetect:
         db = np.full(64, -60.0)
         db[[63, 1]] = -5.0
         db[10] = -1.0
-        peaks = detect_peaks_1d(RadarImage(db, 0.0), threshold_db=-30.0)
+        peaks = detect_peaks_1d(RadarImage(db), threshold_db=-30.0)
         assert [p.bin for p in peaks] == [10, 1]
 
     @staticmethod
     def _assert_matches_thin_pairwise(db, threshold):
         maxima = local_maxima_1d(db, threshold)
         assert circular_maxima(db, threshold, 1).tolist() == maxima
-        got = detect_peaks_1d(RadarImage(db, 0.0), threshold)
+        got = detect_peaks_1d(RadarImage(db), threshold)
         want = thin_pairwise([Peak(bin=i, magnitude_db=float(db[i])) for i in maxima],
                              len(db), DEFAULT_MIN_SEPARATION)
         assert got == want
@@ -228,13 +229,13 @@ class TestDetect:
         amps = target_amplitudes(table1, LinkBudget(), targets, seed=1)
         rect = _image_of(table1, targets, amps, WindowKind.RECTANGULAR)
         rect_peaks = detect_peaks_1d(rect, threshold_db=-30.0)
-        rect_pairs, _ = pair_peaks(rect_peaks)
+        rect_pairs, _ = pair_peaks(rect_peaks, PAIR_TOLERANCE_DB[WindowKind.RECTANGULAR])
         assert len(rect_pairs) == 1
         assert (rect_pairs[0].l1, rect_pairs[0].l2) == (88, 121)
         ham = _image_of(table1, targets, amps, WindowKind.HAMMING)
         ham_peaks = detect_peaks_1d(ham, threshold_db=-36.0)
         assert sorted(p.bin for p in ham_peaks) == [79, 88, 121, 131]
-        ham_pairs, _ = pair_peaks(ham_peaks)
+        ham_pairs, _ = pair_peaks(ham_peaks, PAIR_TOLERANCE_DB[WindowKind.HAMMING])
         assert len(ham_pairs) == 2
 
 
@@ -263,7 +264,7 @@ class TestPsl:
 
     def test_flat_image_rejected(self):
         with pytest.raises(ValueError):
-            psl(RadarImage(np.zeros(64), 0.0))
+            psl(RadarImage(np.zeros(64)))
 
     def test_wide_mainlobe_rejected(self):
         img = diag_spectrum(_tone(16, 8.3))
@@ -300,7 +301,7 @@ class TestPeakResolution:
 
 class TestPairing:
     def test_equal_pair(self):
-        pairs, orphans = pair_peaks([Peak(10, -1.0), Peak(50, -1.0)])
+        pairs, orphans = pair_peaks([Peak(10, -1.0), Peak(50, -1.0)], _TOLERANCE)
         assert len(pairs) == 1 and not orphans
         assert (pairs[0].l1, pairs[0].l2) == (10, 50)
         assert pairs[0].magnitude_db == pytest.approx(-1.0)
@@ -314,13 +315,12 @@ class TestPairing:
 
     def test_two_pairs_by_amplitude(self):
         peaks = [Peak(20, -0.1), Peak(90, 0.0), Peak(140, -15.0), Peak(60, -15.3)]
-        pairs, orphans = pair_peaks(peaks)
+        pairs, orphans = pair_peaks(peaks, _TOLERANCE)
         assert not orphans
         assert {(p.l1, p.l2) for p in pairs} == {(20, 90), (60, 140)}
 
     def test_out_of_tolerance_left_unpaired(self):
-        pairs, orphans = pair_peaks([Peak(10, 0.0), Peak(60, -10.0)],
-                                    amp_tolerance_db=3.0)
+        pairs, orphans = pair_peaks([Peak(10, 0.0), Peak(60, -10.0)], _TOLERANCE)
         assert not pairs and len(orphans) == 2
 
     def test_bad_tolerance_rejected(self):
@@ -328,7 +328,7 @@ class TestPairing:
             pair_peaks([], amp_tolerance_db=0.0)
 
     @staticmethod
-    def _brute_force(peaks, amp_tolerance_db=3.0):
+    def _brute_force(peaks, amp_tolerance_db):
         # Reference: scan every (i, j) for the first smallest difference.
         unpaired = sorted(peaks, key=lambda p: -p.magnitude_db)
         pairs = []
@@ -381,7 +381,8 @@ class TestCandidates:
         # symbols the time comb spans, not over n_subcarriers.
         caps = capabilities(unequal_cfg)
         d = synthesize_diag(unequal_cfg, [FIG3_TARGET], np.array([1.0]))
-        pairs, _ = pair_peaks(detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0))
+        pairs, _ = pair_peaks(detect_peaks_1d(diag_spectrum(d), threshold_db=-30.0),
+                              PAIR_TOLERANCE_DB[WindowKind.RECTANGULAR])
         r_a, v_a, _, _ = candidates(unequal_cfg, pairs[0])
         assert abs(r_a - 40.0) <= caps.range_resolution
         assert abs(v_a - 5.0) <= caps.velocity_resolution

@@ -283,8 +283,8 @@ def _steps_in_lockstep(cfg, frames):
         scalar, array, default = tables.values()
         n = len(scalar)
         assert len(array) == len(default) == n
-        assert (scalar._matrix[:n].tobytes() == array._matrix[:n].tobytes()
-                == default._matrix[:n].tobytes())
+        assert (scalar._matrix.tobytes() == array._matrix.tobytes()
+                == default._matrix.tobytes())
         assert scalar.owner == array.owner == default.owner
         assert scalar.rows(range(n)) == array.rows(range(n)) == default.rows(range(n))
         for tr in scalar:
