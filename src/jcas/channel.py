@@ -70,35 +70,33 @@ class LinkBudget:
 
 
 @dataclass(frozen=True)
-class SymbolMatrix:
-    """Normalized Rx/Tx quotient on the grid comb, n_sensing_freq x n_sensing_time, as
-    a complex ndarray: a complex128 array is kept as it is, anything else converted."""
+class _Samples:
+    """Both sample types' one check: values as a finite complex ndarray of one of
+    _RANKS (_SHAPE words them); a complex128 array is kept, anything else converted."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2:
-            raise ValueError("SymbolMatrix values must be 2-D")
+        if v.ndim not in self._RANKS:
+            raise ValueError(f"{type(self).__name__} values must be {self._SHAPE}")
         if not np.isfinite(v).all():
-            raise ValueError("SymbolMatrix values must be finite")
+            raise ValueError(f"{type(self).__name__} values must be finite")
         object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
-class DiagonalVector:
-    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag (2-D: a frame per
-    row), as a complex ndarray kept or converted as SymbolMatrix's values are."""
+class SymbolMatrix(_Samples):
+    """Normalized Rx/Tx quotient on the grid comb, n_sensing_freq x n_sensing_time."""
 
-    values: np.ndarray
+    _RANKS, _SHAPE = (2,), "2-D"
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim not in (1, 2):
-            raise ValueError("DiagonalVector values must be 1-D, or 2-D for a block")
-        if not np.isfinite(v).all():
-            raise ValueError("DiagonalVector values must be finite")
-        object.__setattr__(self, "values", v)
+
+@dataclass(frozen=True)
+class DiagonalVector(_Samples):
+    """Normalized Rx/Tx quotient along the diagonal comb, length n_diag (2-D: a frame per row)."""
+
+    _RANKS, _SHAPE = (1, 2), "1-D, or 2-D for a block"
 
 
 def rx_power(budget: LinkBudget, cfg: OfdmConfig, target: Target) -> float:

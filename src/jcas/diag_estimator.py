@@ -97,15 +97,13 @@ class DiagFrame:
 
 @lru_cache(maxsize=32)
 def window_coefficients(kind: WindowKind, n: int) -> np.ndarray:
-    """The n taper coefficients, built once per (kind, n) and read-only."""
+    """The n Hamming taper coefficients, built once per n and read-only. Only
+    Hamming has a taper: apply_window leaves a rectangular frame as it is."""
+    if kind is not WindowKind.HAMMING:
+        raise ValueError(f"window kind {kind!r} has no taper")
     if n < 2:
         raise ValueError("window length must be >= 2")
-    if kind is WindowKind.RECTANGULAR:
-        w = np.ones(n)
-    elif kind is WindowKind.HAMMING:
-        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-    else:
-        raise ValueError(f"unknown window kind: {kind!r}")
+    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     w.flags.writeable = False
     return w
 
@@ -128,15 +126,13 @@ def diag_spectrum(d: DiagonalVector, method: str = "fast",
 
 
 def detect_peaks_1d(img: RadarImage, threshold_db: float) -> list[Peak]:
-    """Local maxima above threshold (a guard of 1 bin), thinned strongest first.
+    """circular_maxima's bins at a guard of 1 bin (it refuses the floor), thinned.
 
     Bins are circular. A weaker local maximum closer than
     DEFAULT_MIN_SEPARATION bins to an already kept peak is dropped; of equal
     magnitudes the lower bin comes first. Result is sorted by magnitude
     descending.
     """
-    if threshold_db >= 0:
-        raise ValueError("threshold_db must be negative (relative to peak)")
     db = img.magnitude_db
     found = circular_maxima(db, threshold_db, 1)
     n = len(db)
@@ -179,13 +175,13 @@ def pair_peaks(peaks: list[Peak], amp_tolerance_db: float
     matching repeatedly joins the two unpaired peaks with the smallest
     magnitude difference, as long as that difference stays within tolerance.
     Returns (pairs, orphans); an odd or unmatchable peak is reported as an
-    orphan, never an error.
+    orphan, never an error; a tolerance not above 0, NaN included, is refused.
 
     Peaks are kept sorted strongest first, so the closest-magnitude pair is
     always two neighbours in that order (float subtraction is monotone); a
     tie goes to the strongest such pair.
     """
-    if amp_tolerance_db <= 0:
+    if not amp_tolerance_db > 0:
         raise ValueError("amp_tolerance_db must be positive")
     unpaired = sorted(peaks, key=lambda p: -p.magnitude_db)
     # diffs[i] = unpaired[i] - unpaired[i + 1]; a join closes the gaps around the pair.

@@ -53,10 +53,13 @@ def circular_maxima(db: np.ndarray, threshold_db: float, guard: int) -> np.ndarr
     """Row-major flat indices, ascending, of the cells >= threshold_db that are
     strictly greater than every other cell within guard bins on each axis.
 
-    Axes wrap (DFT bins are circular). An offset that wraps back onto the cell
-    itself, as +-n does on an axis of n <= guard bins, is skipped, so a cell
-    is compared with other cells only.
+    Both detectors' floor check: a threshold_db not below the 0 dB peak, NaN
+    included, is refused. Axes wrap (DFT bins are circular). An offset that
+    wraps back onto the cell itself, as +-n does on an axis of n <= guard
+    bins, is skipped, so a cell is compared with other cells only.
     """
+    if not threshold_db < 0:
+        raise ValueError("threshold_db must be negative (relative to peak)")
     flat = np.flatnonzero(db >= threshold_db)
     for offset in itertools.product(range(-guard, guard + 1), repeat=db.ndim):
         if not any(o % n for o, n in zip(offset, db.shape)):
@@ -113,14 +116,12 @@ def _pack_magnitude(values: np.ndarray) -> np.ndarray:
 
 def detect_peaks_2d(rd_map: RadarImage, threshold_db: float,
                     cfg: OfdmConfig) -> list[GridDetection]:
-    """Cells above threshold that strictly dominate their guard neighborhood of 2 cells.
+    """circular_maxima's cells at a guard of 2 cells (it refuses the floor).
 
     Neighborhoods wrap around (DFT bins are circular). Detections are sorted
     by magnitude, strongest first, with range/velocity read by
     bins_to_estimate.
     """
-    if threshold_db >= 0:
-        raise ValueError("threshold_db must be negative (relative to peak)")
     db = rd_map.magnitude_db
     rows, cols = np.unravel_index(circular_maxima(db, threshold_db, 2), db.shape)
     found = [GridDetection(p, q, float(db[p, q]), *bins_to_estimate(cfg, p, q))

@@ -79,9 +79,9 @@ def targets_at(scene: Scene, t: float) -> list[Target]:
     """Vehicle positions at time t as channel targets.
 
     Vehicles whose range has dropped to zero or below (passed the ego car)
-    are excluded.
+    are excluded. A negative or NaN time is refused.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be >= 0")
     out = []
     for v in scene.vehicles:

@@ -124,14 +124,15 @@ def resolve_ambiguity(cfg: OfdmConfig, tracks: TrackTable,
     claims its best live branch's pair when that pair is within the
     association gate, and its row then holds that pair's candidates. Pairs
     claimed by no track open new tracks. Returns the table, updated in
-    place, with ``owner`` set for this frame.
+    place, with ``owner`` set for this frame. A frame time that is not finite
+    and above the last one's is refused.
 
     A frame of at most _SCALAR_STEP_CELLS tracks x pairs takes the step on
     Python floats, a larger one on arrays; both write the same bytes.
     """
     t, pairs = frame
-    if t <= tracks._last_t:
-        raise ValueError("frame times must be strictly increasing")
+    if not tracks._last_t < t < math.inf:
+        raise ValueError("frame times must be finite and strictly increasing")
     tracks._last_t = t
     owner: list = [None] * len(pairs)
     tracks.owner = owner

@@ -32,6 +32,8 @@ class TestWindow:
     def test_rectangular_is_identity(self, table1):
         d = synthesize_diag(table1, [FIG3_TARGET], np.array([1.0]))
         assert apply_window(d, WindowKind.RECTANGULAR) is d
+        with pytest.raises(ValueError, match="no taper"):
+            window_coefficients(WindowKind.RECTANGULAR, 480)
 
     def test_hamming_edges_and_center(self):
         w = window_coefficients(WindowKind.HAMMING, 481)
@@ -153,8 +155,12 @@ class TestSpectrum:
 class TestDetect:
     def test_threshold_validation(self):
         img = diag_spectrum(_tone(480, 100))
-        with pytest.raises(ValueError):
-            detect_peaks_1d(img, threshold_db=0.5)
+        # NaN too: a NaN floor would detect nothing, silently.
+        for bad in (0.5, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="must be negative"):
+                detect_peaks_1d(img, threshold_db=bad)
+            with pytest.raises(ValueError, match="must be negative"):
+                circular_maxima(img.magnitude_db, bad, 1)
 
     def test_thinning_keeps_stronger(self):
         db = np.full(64, -60.0)
@@ -326,6 +332,9 @@ class TestPairing:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             pair_peaks([], amp_tolerance_db=0.0)
+        # A NaN tolerance would join these two peaks, 19 dB apart.
+        with pytest.raises(ValueError):
+            pair_peaks([Peak(1, -1.0), Peak(9, -20.0)], amp_tolerance_db=float("nan"))
 
     @staticmethod
     def _brute_force(peaks, amp_tolerance_db):

@@ -88,17 +88,24 @@ def test_noisy_multi_frame_tracking_matches_golden(tmp_path):
 @pytest.mark.parametrize("scene", ["fig4", "fig5", "highway6"])
 def test_adaptive_detects_as_hamming(tmp_path, scene):
     # adaptive detects on the Hamming image alone; its rect image is written
-    # for comparison, so the detections and tracks are hamming's.
+    # for comparison, so the detections and tracks are hamming's, and each of
+    # its images, image_<t>_<window>.csv, is that window's own run's image_<t>.csv.
     if scene == "highway6":
         (tmp_path / "highway6.toml").write_text(HIGHWAY6_SCENE)
         args = ["--scene", str(tmp_path / "highway6.toml"), "--snr-db", "20", "--seed", "3"]
     else:
         args = ["--scene", scene, "--seed", "1"]
-    for window in ("adaptive", "hamming"):
+    for window in ("adaptive", "hamming", "rect"):
         assert main(["simulate", *args, "--window", window, "--out", str(tmp_path / window)]) == 0
     for name in ("detections.csv", "tracks.csv"):
         assert (tmp_path / "adaptive" / name).read_bytes() == \
             (tmp_path / "hamming" / name).read_bytes(), name
+    for window in ("hamming", "rect"):
+        images = sorted((tmp_path / "adaptive").glob(f"image_*_{window}.csv"))
+        assert len(images) == len(list((tmp_path / window).glob("image_*.csv"))) > 0
+        for image in images:
+            single = image.name.removesuffix(f"_{window}.csv") + ".csv"
+            assert image.read_bytes() == (tmp_path / window / single).read_bytes(), image.name
 
 
 def test_noisy_dense_grid_matches_golden(tmp_path):

@@ -244,8 +244,9 @@ def test_detect_noisy_full_map_matches_loop_oracle(table1):
 
 def test_detect_rejects_bad_arguments(small_cfg):
     rd = range_doppler_map(SymbolMatrix(np.ones((48, 48), dtype=complex)))
-    with pytest.raises(ValueError):
-        detect_peaks_2d(rd, threshold_db=1.0, cfg=small_cfg)
+    for bad in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="must be negative"):
+            detect_peaks_2d(rd, threshold_db=bad, cfg=small_cfg)
 
 
 def test_bins_to_estimate_values(table1):

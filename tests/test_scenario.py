@@ -61,8 +61,9 @@ def test_passed_vehicle_dropped():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        targets_at(builtin_scene("fig4"), -0.1)
+    for t in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            targets_at(builtin_scene("fig4"), t)
 
 
 _CAR = VehicleSpec("A", 10.0, 5.0, 3.16)

@@ -116,15 +116,21 @@ def test_unassociated_pair_opens_new_track(table1):
 
 def test_non_increasing_time_rejected(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.5, [_pair_for(table1, 40.0, 5.0)]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        resolve_ambiguity(table1, tracks, (0.5, [_pair_for(table1, 40.0, 5.0)]))
+    # A NaN time is refused and leaves the last time standing, so an earlier
+    # frame after it is refused too; an infinite time is refused as well.
+    for t in (0.5, math.nan, 0.4, math.inf):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            resolve_ambiguity(table1, tracks, (t, [_pair_for(table1, 40.0, 5.0)]))
 
 
 def test_time_of_an_empty_frame_counts(table1):
     tracks = resolve_ambiguity(table1, TrackTable(), (0.4, [_pair_for(table1, 40.0, 5.0)]))
     tracks = resolve_ambiguity(table1, tracks, (0.5, []))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        resolve_ambiguity(table1, tracks, (0.45, [_pair_for(table1, 40.0, 5.0)]))
+    for t in (0.45, math.nan, math.inf):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            resolve_ambiguity(table1, tracks, (t, [_pair_for(table1, 40.0, 5.0)]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            resolve_ambiguity(table1, tracks, (t, []))
 
 
 def test_empty_frame_keeps_tracks(table1):
